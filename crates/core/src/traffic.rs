@@ -463,21 +463,81 @@ struct ShellCtx {
     neighbors: Vec<(u32, Latency)>,
 }
 
-/// Memoized candidate scan for one (source, rank): the best base RTT
-/// (jitter excluded), hop count, and serving slot per escalation rung.
-/// Holder lists are append-mostly — pull-through only ever adds holders,
-/// and a new holder can only *improve* the bests — so the memo folds in
-/// just the unseen tail (`seen..len`) on reuse. Only an actual removal
-/// (eviction, TTL lapse, invalidation) or a retired batch context forces
-/// a full rescan: `gen` must match the source's live context and
-/// `removals` the rank's removal count, both of which start above the
-/// memo's zeroed defaults.
-#[derive(Clone, Default)]
+/// Memoized candidate scan for one (source, rank): the tags deciding
+/// whether its per-rung bests (best base RTT with jitter excluded, hop
+/// count, and serving slot per escalation rung, stored in the
+/// [`MemoArena`]) are still valid. Holder lists are append-mostly —
+/// pull-through only ever adds holders, and a new holder can only
+/// *improve* the bests — so the memo folds in just the unseen tail
+/// (`seen..len`) on reuse. Only an actual removal (eviction, TTL lapse,
+/// invalidation) or a retired batch context forces a full rescan: `gen`
+/// must match the source's live context and `removals` the rank's
+/// removal count, both of which start above the memo's zeroed defaults.
+#[derive(Default)]
 struct RankMemo {
     gen: u32,
     removals: u32,
     seen: u32,
-    bests: Vec<Option<(Latency, u32, u32)>>,
+}
+
+/// Per-rung best candidate: (base RTT, hops, global slot | [`PIN_FLAG`]).
+type RungBest = Option<(Latency, u32, u32)>;
+
+/// One shard's scan memos, stored only for the (source, rank) pairs its
+/// requests actually touch. A burst touches at most one pair per
+/// request, far fewer than `sources × ranks` on a large catalog, so the
+/// dense part is a 4-byte index allocated zeroed: pages covering pairs
+/// nobody requests are never written.
+struct MemoArena {
+    /// `source × ranks + rank` → 1 + arena position (0 = no memo yet).
+    index: Vec<u32>,
+    ranks: usize,
+    /// Touched memos, in first-touch order.
+    memos: Vec<RankMemo>,
+    /// Per-rung bests of every memo, `stride` entries per memo in arena
+    /// order.
+    bests: Vec<RungBest>,
+    /// Rungs per memo: the cooperative rung (if any) plus the ladder.
+    stride: usize,
+}
+
+impl MemoArena {
+    fn new(sources: usize, ranks: usize, stride: usize) -> Self {
+        let pairs = sources * ranks;
+        assert!(
+            pairs < u32::MAX as usize,
+            "memo index must address every (source, rank) pair"
+        );
+        MemoArena {
+            index: vec![0; pairs],
+            ranks,
+            memos: Vec::new(),
+            bests: Vec::new(),
+            stride,
+        }
+    }
+
+    /// Number of memos ever created (touched pairs).
+    fn len(&self) -> usize {
+        self.memos.len()
+    }
+
+    /// The memo of (`si`, `rank`) and its per-rung bests. A first touch
+    /// appends a zeroed memo, whose `gen` matches no live context, so
+    /// the caller rebuilds it exactly as it would a stale one.
+    fn entry(&mut self, si: usize, rank: usize) -> (&mut RankMemo, &mut [RungBest]) {
+        let slot = &mut self.index[si * self.ranks + rank];
+        if *slot == 0 {
+            self.memos.push(RankMemo::default());
+            self.bests.resize(self.bests.len() + self.stride, None);
+            *slot = self.memos.len() as u32;
+        }
+        let m = *slot as usize - 1;
+        (
+            &mut self.memos[m],
+            &mut self.bests[m * self.stride..(m + 1) * self.stride],
+        )
+    }
 }
 
 /// Everything a source's requests share within one topology epoch.
@@ -529,14 +589,14 @@ struct ShardWorld<'a> {
     /// evicted, or invalidated in the meantime are skipped on pop.
     expiries: VecDeque<(SimTime, u32, ContentId)>,
     ctxs: Vec<Option<BatchCtx>>,
-    /// Scan memos, flat-indexed `source × ranks + rank` (see [`RankMemo`]).
-    /// The scheduling jitter is a common additive term on every
-    /// candidate's RTT, so a memo is recomputed only when the rank's
-    /// holder list or the source's batch geometry changes — which Zipf
-    /// demand makes rare exactly where requests concentrate.
-    memo: Vec<RankMemo>,
+    /// Scan memos of every touched (source, rank) pair (see
+    /// [`RankMemo`]). The scheduling jitter is a common additive term on
+    /// every candidate's RTT, so a memo is recomputed only when the
+    /// rank's holder list or the source's batch geometry changes — which
+    /// Zipf demand makes rare exactly where requests concentrate.
+    memos: MemoArena,
     /// Generation for the next batch context (starts at 1; 0 marks
-    /// never-written memo entries).
+    /// freshly appended memos).
     next_gen: u32,
     /// Per-(source, candidate) cost cache, flat-indexed
     /// `source × dense_cap + dense id` and tagged with the context
@@ -749,11 +809,10 @@ impl ShardWorld<'_> {
         // hop-budget escalation ladder, which follows shifted by one.
         let rungs0 = self.coop as usize;
         let hs = &self.holders[rank];
-        let memo = &mut self.memo[si * self.shard_ids.len() + rank];
+        let (memo, bests) = self.memos.entry(si, rank);
         let rebuilt = memo.gen != ctx.gen || memo.removals != self.holder_removals[rank];
         if rebuilt {
-            memo.bests.clear();
-            memo.bests.resize(rungs0 + ladder.len(), None);
+            bests.fill(None);
             memo.gen = ctx.gen;
             memo.removals = self.holder_removals[rank];
             memo.seen = 0;
@@ -813,19 +872,19 @@ impl ShardWorld<'_> {
                         })
                     };
                     if let Some((crtt, chops)) = cand {
-                        match memo.bests[0] {
+                        match bests[0] {
                             Some((brtt, _, _)) if crtt >= brtt => {}
-                            _ => memo.bests[0] = Some((crtt, chops, gstore)),
+                            _ => bests[0] = Some((crtt, chops, gstore)),
                         }
                     }
                 }
                 let Some(j0) = ladder.iter().position(|&budget| hops <= budget) else {
                     continue;
                 };
-                for j in (rungs0 + j0)..memo.bests.len() {
-                    match memo.bests[j] {
+                for best in &mut bests[rungs0 + j0..] {
+                    match *best {
                         Some((brtt, _, _)) if rtt >= brtt => break,
-                        _ => memo.bests[j] = Some((rtt, hops, gstore)),
+                        _ => *best = Some((rtt, hops, gstore)),
                     }
                 }
             }
@@ -835,8 +894,7 @@ impl ShardWorld<'_> {
         // Serve at the first rung whose best beats the bent pipe —
         // exactly the resilient escalation ladder, collapsed to one scan
         // (with the cooperative neighborhood probed first when enabled).
-        let served = memo
-            .bests
+        let served = bests
             .iter()
             .enumerate()
             .filter_map(|(j, b)| b.map(|(base, hops, g)| (j, base + jitter, hops, g)))
@@ -1007,6 +1065,31 @@ pub fn run_traffic_multishell(
     sources: &[TrafficSource],
     cfg: &TrafficConfig,
 ) -> TrafficReport {
+    let mut merged = TrafficReport::default();
+    for shard in run_shards(scenarios, sources, cfg) {
+        debug_assert!(
+            shard.memos as u64 <= shard.report.requests,
+            "a memo is created only by a request touching its pair"
+        );
+        merged.merge(&shard.report);
+    }
+    merged
+}
+
+/// One catalog shard's finished simulation.
+struct ShardRun {
+    report: TrafficReport,
+    /// Scan memos the shard created: its touched (source, rank) pairs.
+    memos: usize,
+}
+
+/// The body of [`run_traffic_multishell`]: every shard's run, in shard
+/// order, before the merge.
+fn run_shards(
+    scenarios: &mut [Scenario],
+    sources: &[TrafficSource],
+    cfg: &TrafficConfig,
+) -> Vec<ShardRun> {
     assert!(
         !scenarios.is_empty(),
         "traffic needs at least one shell scenario"
@@ -1126,7 +1209,7 @@ pub fn run_traffic_multishell(
     let horizon = cfg.start + cfg.epoch_step.mul(cfg.epochs as u64);
     let access = scenarios[0].network().access();
 
-    let reports = par_map_indices(cfg.streams, |s| {
+    par_map_indices(cfg.streams, |s| {
         // This stream's catalog shard: global ranks whose content id
         // falls in residue class `s`.
         let ranks: Vec<usize> = (0..cfg.catalog_size)
@@ -1190,7 +1273,11 @@ pub fn run_traffic_multishell(
             rank_of,
             expiries: VecDeque::new(),
             ctxs: (0..sources.len()).map(|_| None).collect(),
-            memo: vec![RankMemo::default(); sources.len() * shard_ids.len()],
+            memos: MemoArena::new(
+                sources.len(),
+                shard_ids.len(),
+                coop as usize + cfg.escalation.len(),
+            ),
             next_gen: 1,
             slot_cost: vec![(0, Latency::ZERO, u32::MAX); sources.len() * dense_cap],
             dense_of,
@@ -1275,14 +1362,11 @@ pub fn run_traffic_multishell(
         BATCHES_FORMED.add(world.batches_formed);
         BATCH_TABLE_REUSES.add(r.requests - world.batches_formed);
         LATENCY_US.merge_local(&world.latency_local);
-        world.report
-    });
-
-    let mut merged = TrafficReport::default();
-    for r in &reports {
-        merged.merge(r);
-    }
-    merged
+        ShardRun {
+            report: world.report,
+            memos: world.memos.len(),
+        }
+    })
 }
 
 /// Single-shell convenience wrapper over [`run_traffic_multishell`]:
@@ -1554,6 +1638,56 @@ mod tests {
             "extra shells cannot create dead zones: {} vs {}",
             multi.dead_zones,
             single.dead_zones
+        );
+    }
+
+    #[test]
+    fn memo_arena_grows_with_requests_not_pairs() {
+        // 200 sources × a 20k catalog: a million (source, rank) pairs per
+        // shard against a thousand requests. Every memo is a touched pair,
+        // so no shard may hold more memos than it served requests.
+        let sources: Vec<TrafficSource> = (0..200)
+            .map(|i| TrafficSource {
+                position: Geodetic::ground(
+                    -55.0 + (i % 20) as f64 * 5.5,
+                    -180.0 + (i / 20) as f64 * 36.0,
+                ),
+                weight: 1 + (i % 7) as u32,
+                fallback_rtt: vec![Latency::from_ms(140.0); 2],
+            })
+            .collect();
+        let cfg = TrafficConfig {
+            requests: 4_000,
+            catalog_size: 20_000,
+            zipf_alpha: 0.7,
+            cache_bytes_per_sat: 16 << 20,
+            ..quick_cfg()
+        };
+        let mut sc = small_scenario(FaultSchedule::none());
+        let shards = run_shards(std::slice::from_mut(&mut sc), &sources, &cfg);
+        assert_eq!(shards.len(), cfg.streams);
+        for (s, shard) in shards.iter().enumerate() {
+            let served = shard.report.requests - shard.report.dead_zones;
+            assert!(shard.memos > 0, "shard {s} touched no pair");
+            assert!(
+                shard.memos as u64 <= served,
+                "shard {s}: {} memos for {served} servable requests",
+                shard.memos
+            );
+        }
+
+        // Repeated pairs reuse their memo instead of appending another.
+        let cfg = quick_cfg();
+        let mut sc = small_scenario(FaultSchedule::none());
+        let shards = run_shards(std::slice::from_mut(&mut sc), &test_sources(2), &cfg);
+        let memos: usize = shards.iter().map(|r| r.memos).sum();
+        let served: u64 = shards
+            .iter()
+            .map(|r| r.report.requests - r.report.dead_zones)
+            .sum();
+        assert!(
+            (memos as u64) < served,
+            "hot pairs must share memos: {memos} memos for {served} requests"
         );
     }
 

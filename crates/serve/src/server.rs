@@ -22,15 +22,23 @@ use spacecdn_core::placement::PlacementSpec;
 use spacecdn_core::retrieval::RetrievalSource;
 use spacecdn_core::traffic::PolicyKind;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often blocked accept/read loops wake to poll the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line accepted, newline excluded (1 MiB). A longer line
+/// gets one error response and the connection is closed.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a connection closed for an over-long line keeps draining its
+/// input so the error response gets out first (see [`linger_close`]).
+const LINGER: Duration = Duration::from_millis(200);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -135,27 +143,48 @@ impl Daemon {
 
 fn serve_connection(stream: TcpStream, state: Arc<State>) {
     let _ = stream.set_read_timeout(Some(POLL));
+    // One small response per request: don't let Nagle hold it back
+    // waiting for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes of the request line read so far; a read that times out
+    // mid-line keeps them for the next attempt.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // Room for the longest allowed line plus its newline: a read that
+        // fills it without a newline has overrun the cap.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
+                if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+                    // Never dispatched, so never journaled; the rest of the
+                    // line is unread, so the connection cannot resync.
+                    let mut response =
+                        err_response(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_ok() {
+                        linger_close(&mut reader, &writer);
+                    }
+                    return;
                 }
-                let response = dispatch(line.trim(), &state);
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                let mut response = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => {
+                        line.clear();
+                        continue;
+                    }
+                    Ok(text) => dispatch(text.trim(), &state),
+                    Err(_) => err_response("request line is not valid UTF-8"),
+                };
+                line.clear();
+                // Response and newline in one write, so they leave as one
+                // segment.
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -164,6 +193,25 @@ fn serve_connection(stream: TcpStream, state: Arc<State>) {
                     return;
                 }
             }
+            Err(_) => return,
+        }
+    }
+}
+
+/// Half-close after a final response, then discard what the client is
+/// still sending for up to [`LINGER`] or [`MAX_LINE_BYTES`]: closing a
+/// socket with unread input resets the connection, which can drop a
+/// response not yet sent.
+fn linger_close(reader: &mut impl Read, writer: &TcpStream) {
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 8192];
+    let mut discarded = 0;
+    while discarded < MAX_LINE_BYTES && Instant::now() < deadline {
+        match reader.read(&mut sink) {
+            Ok(0) => return,
+            Ok(n) => discarded += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(_) => return,
         }
     }

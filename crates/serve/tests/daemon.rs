@@ -260,3 +260,102 @@ fn protocol_errors_do_not_wedge_the_connection() {
     c.ok("{\"op\":\"create\",\"session\":\"ok1\",\"catalog\":200,\"streams\":2}");
     daemon.shutdown();
 }
+
+#[test]
+fn sequential_round_trips_do_not_stall_on_delayed_acks() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("latency");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"ping\"}");
+    // A response split over two segments waits for the client's delayed
+    // ACK (~40 ms on Linux loopback) every time: 20 pings would take
+    // ~880 ms. One segment per response takes a few milliseconds.
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        c.ok("{\"op\":\"ping\"}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 pings took {elapsed:?}"
+    );
+    drop(c);
+    daemon.shutdown();
+}
+
+#[test]
+fn overlong_request_line_gets_one_error_and_a_close() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("overlong");
+    let stream = TcpStream::connect(daemon.addr).expect("connect");
+    // Fail rather than hang if the daemon never answers.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // An endless line that starts like a valid mutating command: it must
+    // be neither executed nor journaled. The writer stops when the daemon
+    // closes, or after 64 MiB if it never does.
+    let flood = std::thread::spawn(move || {
+        let prefix = b"{\"op\":\"create\",\"session\":\"flood\",\"catalog\":200,\"pad\":\"";
+        if writer.write_all(prefix).is_err() {
+            return 0usize;
+        }
+        let chunk = vec![b'x'; 64 << 10];
+        let mut sent = prefix.len();
+        while sent < 64 << 20 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+            sent += chunk.len();
+        }
+        sent
+    });
+
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("one response");
+    assert!(
+        response.starts_with("{\"ok\":false") && response.contains("exceeds"),
+        "{response}"
+    );
+    // Then the daemon closes: end of stream (or a reset), no second line.
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "{rest}"
+    );
+    let sent = flood.join().expect("flood writer");
+    assert!(sent < 64 << 20, "daemon kept reading the over-long line");
+
+    // Other clients are served as before, and nothing was journaled.
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"ping\"}");
+    let list = c.ok("{\"op\":\"list\"}");
+    assert!(!list.contains("flood"), "{list}");
+    assert!(!daemon.journal("flood").exists());
+    drop(c);
+    daemon.shutdown();
+}
+
+#[test]
+fn request_line_split_across_read_timeouts_stays_whole() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("split");
+    let mut c = daemon.client();
+    // The daemon's reads time out every 50 ms to poll for shutdown; a
+    // line arriving in two pieces further apart than that must still be
+    // parsed as one line.
+    let stream = c.reader.get_mut();
+    stream.write_all(b"{\"op\":\"pi").expect("write");
+    std::thread::sleep(std::time::Duration::from_millis(150));
+    stream.write_all(b"ng\"}\n").expect("write");
+    let mut response = String::new();
+    c.reader.read_line(&mut response).expect("read");
+    assert!(
+        response.starts_with("{\"ok\":true,\"pong\":true"),
+        "{response}"
+    );
+    drop(c);
+    daemon.shutdown();
+}

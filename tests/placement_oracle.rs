@@ -27,14 +27,19 @@
 //! non-EPOCH start clocks, and randomized source geometry with per-epoch
 //! fallback RTTs.
 //!
-//! Caches are oversized and TTLs outlast every horizon so the dynamic
-//! holder lists evolve only by pull-through appends and fault
-//! invalidations — the two transitions the serve-path memo must survive —
-//! keeping the naive model's membership bookkeeping exact without
-//! reimplementing eviction policies (those have their own differential
-//! oracle in `spacecdn-content`).
+//! The naive model keeps its holder lists in step with its own
+//! `PolicyFleet`, driven by the same calls the engine makes (clock, hit
+//! touch, fill, expiry, invalidation), so eviction and TTL lapses prune
+//! holders without reimplementing eviction policies (those have their
+//! own differential oracle in `spacecdn-content`). The randomized sweep
+//! oversizes caches and TTLs, so holder lists change only by pull-through
+//! appends and fault invalidations. A second, sparse sweep puts hundreds
+//! of sources in front of a catalog of tens of thousands of objects with
+//! small evicting caches, so nearly every (source, rank) memo the engine
+//! serves from is created on first touch, then rebuilt and pruned.
 
 use spacecdn_suite::content::catalog::{Catalog, ContentId};
+use spacecdn_suite::content::policy::PolicyFleet;
 use spacecdn_suite::content::popularity::ZipfSampler;
 use spacecdn_suite::core::duty_cycle::DutyCycler;
 use spacecdn_suite::core::network::LsnNetwork;
@@ -51,6 +56,7 @@ use spacecdn_suite::lsn::{AccessModel, FaultSchedule, IslGraph, SourceTables};
 use spacecdn_suite::orbit::shell::{shells, ShellConfig};
 use spacecdn_suite::orbit::{Constellation, SatIndex};
 use spacecdn_suite::terra::fiber::FiberModel;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// FNV-1a parameters mirrored from the engine's decision digest.
@@ -107,6 +113,10 @@ struct NaiveOutcome {
     dead_zones: u64,
     served_bytes: u64,
     origin_bytes: u64,
+    inserts: u64,
+    evictions: u64,
+    ttl_expiries: u64,
+    invalidations: u64,
     hop_histogram: Vec<u64>,
     latency_bits: Vec<u64>,
 }
@@ -123,6 +133,10 @@ impl NaiveOutcome {
             dead_zones: r.dead_zones,
             served_bytes: r.served_bytes,
             origin_bytes: r.origin_bytes,
+            inserts: r.inserts,
+            evictions: r.evictions,
+            ttl_expiries: r.ttl_expiries,
+            invalidations: r.invalidations,
             hop_histogram: r.hop_histogram.clone(),
             latency_bits: r.latencies.samples().iter().map(|l| l.to_bits()).collect(),
         }
@@ -194,6 +208,13 @@ struct NaiveShellCtx {
     neighbors: Vec<(u32, Latency)>,
 }
 
+/// Drop `slot` from `holders` (order-insensitive, like the engine).
+fn prune(holders: &mut Vec<u32>, slot: u32) {
+    if let Some(p) = holders.iter().position(|&g| g == slot) {
+        holders.swap_remove(p);
+    }
+}
+
 /// The exhaustive reference: replay the engine's RNG streams and event
 /// timeline, but resolve every request by a full candidate scan with no
 /// memoization, no batching, and no cost caching.
@@ -240,6 +261,8 @@ fn naive_traffic(
         .iter()
         .map(|&id| catalog.get(id).expect("catalog id").size_bytes)
         .collect();
+    let rank_of: HashMap<ContentId, usize> =
+        by_rank.iter().enumerate().map(|(r, &id)| (id, r)).collect();
     let all_ranks: Vec<usize> = (0..cfg.catalog_size).collect();
     let sampler = ZipfSampler::over_ranks(&all_ranks, cfg.zipf_alpha);
     let weight_cdf: Vec<u64> = sources
@@ -278,6 +301,14 @@ fn naive_traffic(
     let mut service_rng = DetRng::new(cfg.seed, "traffic/service/0");
 
     let mut holders: Vec<Vec<u32>> = vec![Vec::new(); cfg.catalog_size];
+    let mut fleet = PolicyFleet::new(
+        cfg.policy,
+        total_sats as usize,
+        cfg.cache_bytes_per_sat,
+        cfg.ttl,
+    );
+    let mut expiries: VecDeque<(SimTime, u32, ContentId)> = VecDeque::new();
+    let mut dropped = Vec::new();
     let mut out = NaiveOutcome {
         digest: DIGEST_BASIS,
         ..NaiveOutcome::default()
@@ -300,17 +331,26 @@ fn naive_traffic(
             // engine swap-removes).
             for (k, graph) in graphs[epoch].iter().enumerate() {
                 for local in 0..graph.len() {
-                    if !graph.is_alive(SatIndex(local as u32)) {
-                        let g = shell_offsets[k] + local as u32;
+                    let g = shell_offsets[k] + local as u32;
+                    if fleet.len_of(g) > 0 && !graph.is_alive(SatIndex(local as u32)) {
+                        out.invalidations += fleet.clear_sat(g, &mut dropped);
+                        dropped.clear();
                         for hs in holders.iter_mut() {
-                            if let Some(p) = hs.iter().position(|&x| x == g) {
-                                hs.swap_remove(p);
-                            }
+                            prune(hs, g);
                         }
                     }
                 }
             }
             next_boundary += 1;
+        }
+
+        // TTL lapses due by now, oldest insert first.
+        fleet.set_now(t);
+        while expiries.front().is_some_and(|&(e, _, _)| e <= t) {
+            let (_, slot, content) = expiries.pop_front().expect("checked front");
+            if fleet.expire_if_due(slot, content) {
+                prune(&mut holders[rank_of[&content]], slot);
+            }
         }
 
         let si = a.source as usize;
@@ -425,6 +465,8 @@ fn naive_traffic(
             Some((rung, rtt, hops, g, is_pinned)) => {
                 if is_pinned {
                     out.pinned_hits += 1;
+                } else {
+                    assert!(fleet.get(g, by_rank[rank]), "holder not in the fleet");
                 }
                 if rungs0 == 1 && rung == 0 && hops == 1 {
                     out.neighbor_hits += 1;
@@ -447,9 +489,17 @@ fn naive_traffic(
                 out.origin_fetches += 1;
                 out.origin_bytes += size;
                 if duty.is_active(SatIndex(fill), t) && !pinned[rank].contains(&fill) {
-                    let hs = &mut holders[rank];
-                    if !hs.contains(&fill) {
-                        hs.push(fill);
+                    let content = by_rank[rank];
+                    if fleet.insert_collect(fill, content, size, &mut dropped) {
+                        out.inserts += 1;
+                        let hs = &mut holders[rank];
+                        if !hs.contains(&fill) {
+                            hs.push(fill);
+                        }
+                        expiries.push_back((t + cfg.ttl, fill, content));
+                    }
+                    while let Some(victim) = dropped.pop() {
+                        prune(&mut holders[rank_of[&victim]], fill);
                     }
                 }
                 fold_decision(&mut out.digest, a.source, u32::MAX, u32::MAX, fallback);
@@ -458,6 +508,8 @@ fn naive_traffic(
         };
         out.latency_bits.push(latency.ms().to_bits());
     }
+    out.evictions = fleet.stats().evictions;
+    out.ttl_expiries = fleet.expired_purges();
     out
 }
 
@@ -576,13 +628,23 @@ fn run_case(case: usize, rng: &mut DetRng) -> (NaiveOutcome, NaiveOutcome, Strin
         cfg.seed,
     );
 
-    let mut engine_scenarios = scenarios_for(&configs, &schedules);
-    let report = run_traffic_multishell(&mut engine_scenarios, &sources, &cfg);
-    let engine = NaiveOutcome::of_report(&report);
-
-    let mut naive_scenarios = scenarios_for(&configs, &schedules);
-    let naive = naive_traffic(&mut naive_scenarios, &sources, &cfg);
+    let (engine, naive) = engine_and_naive(&configs, &schedules, &sources, &cfg);
     (engine, naive, label)
+}
+
+/// Run one case through the engine and the naive reference, each on
+/// freshly built scenarios.
+fn engine_and_naive(
+    configs: &[ShellConfig],
+    schedules: &[FaultSchedule],
+    sources: &[TrafficSource],
+    cfg: &TrafficConfig,
+) -> (NaiveOutcome, NaiveOutcome) {
+    let mut engine_scenarios = scenarios_for(configs, schedules);
+    let report = run_traffic_multishell(&mut engine_scenarios, sources, cfg);
+    let mut naive_scenarios = scenarios_for(configs, schedules);
+    let naive = naive_traffic(&mut naive_scenarios, sources, cfg);
+    (NaiveOutcome::of_report(&report), naive)
 }
 
 #[test]
@@ -607,4 +669,97 @@ fn engine_matches_exhaustive_naive_scan_over_randomized_cases() {
     assert!(pinned_hits > 0, "no case served a plan-pinned replica");
     assert!(coop_hits > 0, "no case served a cooperative neighbor probe");
     assert!(dead > 0, "no case exercised the dead-zone ground path");
+}
+
+#[test]
+fn engine_matches_naive_scan_when_pairs_dwarf_requests() {
+    // Hundreds of sources × tens of thousands of ranks against a few
+    // thousand requests: almost every request lands on a (source, rank)
+    // pair nobody asked for before, and small caches under every policy
+    // evict and expire holders underneath the memos built on them.
+    const CASES: usize = 8;
+    let mut rng = DetRng::new(0x5BA75E, "placement-oracle/sparse");
+    let (mut evictions, mut expiries, mut space) = (0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let configs: Vec<ShellConfig> = if case % 2 == 1 {
+            vec![shells::test_shell(), second_shell()]
+        } else {
+            vec![shells::test_shell()]
+        };
+        let epochs = 2 + rng.index(2);
+        let epoch_step = SimDuration::from_secs(157);
+        let mut schedules: Vec<FaultSchedule> =
+            configs.iter().map(|_| FaultSchedule::none()).collect();
+        let faulted = case % 4 >= 2;
+        if faulted {
+            for (k, (cfg, schedule)) in configs.iter().zip(schedules.iter_mut()).enumerate() {
+                schedule.random_sat_outages(
+                    (cfg.plane_count * cfg.sats_per_plane) as usize,
+                    0.25,
+                    epoch_step.mul(epochs as u64),
+                    SimDuration::from_secs(120),
+                    &mut rng.derive(&format!("oracle/sparse-faults/{case}/{k}")),
+                );
+            }
+        }
+        let budget = 50 + rng.index(200);
+        let spec = match (case / 2) % 4 {
+            0 => None,
+            1 => PlacementSpec::parse(&format!("perplane-1:budget-{budget}:cap-4:coop")),
+            2 => PlacementSpec::parse(&format!("rand-24:budget-{budget}:cap-8")),
+            _ => PlacementSpec::parse(&format!("cover-2:budget-{budget}:cap-4:coop")),
+        };
+        let sources: Vec<TrafficSource> = (0..200 + rng.index(64))
+            .map(|_| TrafficSource {
+                position: Geodetic::ground(rng.uniform(-55.0, 55.0), rng.uniform(-180.0, 180.0)),
+                weight: 1 + rng.index(9) as u32,
+                fallback_rtt: (0..epochs)
+                    .map(|_| Latency::from_ms(rng.uniform(25.0, 200.0)))
+                    .collect(),
+            })
+            .collect();
+        let cfg = TrafficConfig {
+            requests: 2_000 + rng.index(2_000) as u64,
+            streams: 1,
+            epochs,
+            epoch_step,
+            catalog_size: 20_000 + rng.index(10_000),
+            zipf_alpha: [0.6, 0.8][rng.index(2)],
+            cache_bytes_per_sat: [1u64 << 20, 4 << 20, 64 << 20][rng.index(3)],
+            ttl: if case % 3 != 0 {
+                SimDuration::from_secs(20 + rng.index(60) as u64)
+            } else {
+                SimDuration::from_mins(1 << 20)
+            },
+            policy: PolicyKind::ALL[case % 4],
+            duty_fraction: [1.0, 0.7][rng.index(2)],
+            duty_slot: SimDuration::from_mins(10),
+            escalation: vec![1, 3, 5, 10],
+            placement: spec,
+            seed: rng.index(1 << 30) as u64,
+            start: SimTime::EPOCH,
+        };
+        let label = format!(
+            "sparse case {case}: shells={} faulted={faulted} spec={} policy={} sources={} \
+             catalog={} requests={} cache={} seed={}",
+            configs.len(),
+            cfg.placement.map_or_else(|| "off".into(), |s| s.name()),
+            cfg.policy.name(),
+            sources.len(),
+            cfg.catalog_size,
+            cfg.requests,
+            cfg.cache_bytes_per_sat,
+            cfg.seed,
+        );
+        let (engine, naive) = engine_and_naive(&configs, &schedules, &sources, &cfg);
+        assert_eq!(engine, naive, "engine/naive divergence at {label}");
+        evictions += engine.evictions;
+        expiries += engine.ttl_expiries;
+        space += engine.overhead_hits + engine.isl_hits;
+    }
+    // Memos must actually be pruned under the engine, or this sweep
+    // proves nothing beyond the first one.
+    assert!(evictions > 0, "no case evicted");
+    assert!(expiries > 0, "no case expired a copy");
+    assert!(space > 0, "no case served from space");
 }
