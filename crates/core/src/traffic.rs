@@ -59,7 +59,7 @@ pub use spacecdn_content::policy::PolicyKind;
 use spacecdn_content::popularity::ZipfSampler;
 use spacecdn_des::stream::{drive, EventStream, FixedTicks, Merged, MergedEvent};
 use spacecdn_des::Percentiles;
-use spacecdn_engine::par_map_indices;
+use spacecdn_engine::{par_map, par_map_indices};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, IslGraph, SourceTables};
@@ -1108,6 +1108,13 @@ fn run_shards(
     let graphs: Vec<Vec<Arc<IslGraph>>> = (0..cfg.epochs)
         .map(|e| per_shell.iter().map(|g| Arc::clone(&g[e])).collect())
         .collect();
+
+    // Every shard resolves its sources' overhead tables on every graph:
+    // build them up front, one graph per worker, so shards never race to
+    // compute the same table.
+    let positions: Vec<Geodetic> = sources.iter().map(|s| s.position).collect();
+    let all_graphs: Vec<&Arc<IslGraph>> = graphs.iter().flatten().collect();
+    par_map(&all_graphs, |_, g| g.warm_overhead_tables(&positions));
 
     // Global satellite slots: shell k's satellite i lives at
     // `shell_offsets[k] + i`; `shell_of` inverts that in O(1).

@@ -165,6 +165,50 @@ impl Percentiles {
         Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
     }
 
+    /// [`Self::quantile`] at every `q` in `qs`, without a full sort: each
+    /// lower order statistic is selected in `O(n)` on the part above the
+    /// previous one, and the upper one is the minimum of what lies above
+    /// it. Already-sorted samples are read directly. Bit-identical to
+    /// `quantile` per `q`, because samples that compare equal are equal
+    /// (unless both `0.0` and `-0.0` were added). Leaves unsorted samples
+    /// in unspecified order.
+    pub fn quantiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[f64; N]> {
+        let n = self.samples.len();
+        if n == 0 {
+            return None;
+        }
+        let pos = qs.map(|q| q.clamp(0.0, 1.0) * (n - 1) as f64);
+        let lows = pos.map(|p| p.floor() as usize);
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| lows[i]);
+        let mut out = [0.0; N];
+        // `samples[floor..]` holds exactly the order statistics `floor..`.
+        let mut floor = 0;
+        for i in order {
+            let (lo, hi) = (lows[i], pos[i].ceil() as usize);
+            let frac = pos[i] - lo as f64;
+            let (lo_v, hi_v) = if self.sorted {
+                (self.samples[lo], self.samples[hi])
+            } else {
+                self.samples[floor..].select_nth_unstable_by(lo - floor, |a, b| {
+                    a.partial_cmp(b).expect("non-finite filtered on add")
+                });
+                floor = lo;
+                let lo_v = self.samples[lo];
+                let hi_v = if hi == lo {
+                    lo_v
+                } else {
+                    self.samples[lo + 1..]
+                        .iter()
+                        .fold(f64::INFINITY, |m, &x| if x < m { x } else { m })
+                };
+                (lo_v, hi_v)
+            };
+            out[i] = lo_v * (1.0 - frac) + hi_v * frac;
+        }
+        Some(out)
+    }
+
     /// The median (`None` when empty).
     pub fn median(&mut self) -> Option<f64> {
         self.quantile(0.5)
@@ -414,6 +458,38 @@ mod tests {
         assert!((p.quantile(0.0).unwrap() - 1.0).abs() < 1e-9);
         assert!((p.quantile(1.0).unwrap() - 100.0).abs() < 1e-9);
         assert!((p.quantile(0.25).unwrap() - 25.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantiles_match_quantile_bit_for_bit() {
+        let qs = [0.0, 0.5, 0.9, 0.99, 1.0];
+        let mut rng = spacecdn_geo::DetRng::new(7, "stats/quantiles");
+        let random: Vec<f64> = (0..1000).map(|_| rng.uniform(0.0, 500.0)).collect();
+        let duplicates: Vec<f64> = (0..1000).map(|_| rng.index(4) as f64 * 2.5).collect();
+        for samples in [random, duplicates, vec![42.0], vec![3.0, 1.0]] {
+            let mut reference = Percentiles::new();
+            let mut unsorted = Percentiles::new();
+            for &x in &samples {
+                reference.add(x);
+                unsorted.add(x);
+            }
+            let want = qs.map(|q| reference.quantile(q).unwrap().to_bits());
+            // Unsorted: selection.
+            let got = unsorted.quantiles(qs).unwrap().map(f64::to_bits);
+            assert_eq!(got, want, "unsorted n={}", samples.len());
+            // Selection again on the permuted samples, with the
+            // quantiles in descending order.
+            let mut rev = qs;
+            rev.reverse();
+            let got = unsorted.quantiles(rev).unwrap().map(f64::to_bits);
+            let mut want_rev = want;
+            want_rev.reverse();
+            assert_eq!(got, want_rev, "reversed n={}", samples.len());
+            // Sorted (the reference sorted itself): read directly.
+            let got = reference.quantiles(qs).unwrap().map(f64::to_bits);
+            assert_eq!(got, want, "sorted n={}", samples.len());
+        }
+        assert_eq!(Percentiles::new().quantiles(qs), None);
     }
 
     #[test]

@@ -751,6 +751,21 @@ impl IslGraph {
         }
     }
 
+    /// [`Self::warm_routing_cache`] for the overhead satellite
+    /// ([`Self::nearest_alive`]) of every ground point in `users` — the
+    /// sources a fetch from those points routes from. No-op when the
+    /// routing cache is disabled.
+    pub fn warm_overhead_tables(&self, users: &[Geodetic]) {
+        if !routing_cache_enabled() {
+            return;
+        }
+        let sources: Vec<SatIndex> = users
+            .iter()
+            .filter_map(|&user| self.nearest_alive(user).map(|(sat, _)| sat))
+            .collect();
+        self.warm_routing_cache(&sources);
+    }
+
     /// Number of source satellites with memoized routing tables.
     pub fn cached_sources(&self) -> usize {
         self.cache.cached_sources()

@@ -16,6 +16,7 @@ use spacecdn_core::traffic::{
     run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport, TrafficSource,
 };
 use spacecdn_des::Percentiles;
+use spacecdn_engine::par_map;
 use spacecdn_geo::{Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, FaultSchedule};
 use spacecdn_orbit::{Constellation, MultiConstellation};
@@ -136,11 +137,19 @@ pub fn covered_traffic_sources_from(
         .map(|&t| net.snapshot(t, &schedule.plan_at(t)))
         .collect();
 
+    let served: Vec<_> = cities()
+        .iter()
+        .filter(|city| covered.contains(&city.cc))
+        .collect();
+    // Every city resolves its overhead satellite's routing tables on
+    // every snapshot: build them up front, one snapshot per worker.
+    let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
+    par_map(&snapshots, |_, snap| {
+        snap.graph().warm_overhead_tables(&positions)
+    });
+
     let mut sources = Vec::new();
-    for city in cities() {
-        if !covered.contains(&city.cc) {
-            continue;
-        }
+    for city in served {
         let pop = home_pop(city.cc, city.position());
         let fallback_rtt: Vec<Latency> = snapshots
             .iter()

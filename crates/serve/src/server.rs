@@ -8,9 +8,15 @@
 //! session serialize (the determinism contract needs a total order per
 //! session, which the per-entry lock provides and the journal records).
 //!
+//! Accept: the listener blocks in `accept()`, so each connection thread
+//! starts the moment its client connects.
+//!
 //! Shutdown: SIGINT/SIGTERM (see [`crate::signal`]) or a `shutdown`
-//! command set a flag; the accept loop and every connection poll it on
-//! short socket timeouts, finish their in-flight command, and drain.
+//! command set a flag. A blocking `accept()` cannot see that flag, so one
+//! watcher thread owns the wake: it polls the flag (the `shutdown` command
+//! also unparks it at once) and then connects to the daemon's own address,
+//! which returns `accept()` into the drain. Connection threads poll the
+//! flag on short read timeouts, finish their in-flight command, and exit.
 //! Journals are write-ahead-flushed per command, so even a SIGKILL loses
 //! at most a torn trailing line (which replay discards).
 
@@ -23,13 +29,15 @@ use spacecdn_core::retrieval::RetrievalSource;
 use spacecdn_core::traffic::PolicyKind;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/read loops wake to poll the shutdown flag.
+/// How often connection reads and the drain watcher wake to poll the
+/// shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Longest request line accepted, newline excluded (1 MiB). A longer line
@@ -75,11 +83,22 @@ struct State {
     /// This daemon's own shutdown flag (the `shutdown` command); process
     /// signals use the global flag in [`crate::signal`].
     shutdown: AtomicBool,
+    /// The drain watcher (see [`watch_for_drain`]), set once `run` starts.
+    watcher: OnceLock<Thread>,
 }
 
 impl State {
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
+    }
+
+    /// Start this daemon's drain without waiting for the watcher's next
+    /// poll.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(watcher) = self.watcher.get() {
+            watcher.unpark();
+        }
     }
 }
 
@@ -108,6 +127,7 @@ impl Daemon {
                 sessions: Mutex::new(BTreeMap::new()),
                 journal_dir: cfg.journal_dir.clone(),
                 shutdown: AtomicBool::new(false),
+                watcher: OnceLock::new(),
             }),
         })
     }
@@ -119,26 +139,80 @@ impl Daemon {
 
     /// Serve until a shutdown is requested, then drain connection
     /// threads and return. Journals are flushed per command, so there is
-    /// nothing else to persist.
+    /// nothing else to persist. An `accept()` error that belongs to one
+    /// connection is skipped; any other drains the daemon and is returned.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let wake_addr = self_connect_addr(self.listener.local_addr()?);
+        let watcher = {
+            let state = Arc::clone(&self.state);
+            std::thread::spawn(move || watch_for_drain(&state, wake_addr))
+        };
+        let _ = self.state.watcher.set(watcher.thread().clone());
         let mut workers = Vec::new();
-        while !self.state.draining() {
+        let served = loop {
             match self.listener.accept() {
+                // The watcher's wake, or a client that raced the drain:
+                // dropped unserved.
+                Ok(_) if self.state.draining() => break Ok(()),
                 Ok((stream, _peer)) => {
                     let state = Arc::clone(&self.state);
                     workers.push(std::thread::spawn(move || serve_connection(stream, state)));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(e) => return Err(e),
+                Err(e) if is_connection_error(&e) => {}
+                Err(e) => break Err(e),
             }
             workers.retain(|w| !w.is_finished());
-        }
+        };
+        self.state.request_shutdown();
+        let _ = watcher.join();
         for w in workers {
             let _ = w.join();
         }
-        Ok(())
+        served
     }
+}
+
+/// Wait until the daemon drains, then connect once to its own listener:
+/// `run` blocks in `accept()`, and std retries `accept` on `EINTR`, so
+/// neither the flag nor a signal returns it on its own. Signals only set
+/// the flag, so they are seen within [`POLL`]; the `shutdown` command
+/// unparks this thread at once.
+fn watch_for_drain(state: &State, addr: SocketAddr) {
+    while !state.draining() {
+        std::thread::park_timeout(POLL);
+    }
+    let _ = TcpStream::connect(addr);
+}
+
+/// Where the watcher connects to reach a listener bound at `bound`: an
+/// unspecified IP (`0.0.0.0`, `[::]`) maps to loopback of the same family.
+fn self_connect_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Is `e` an `accept()` error of the one connection being accepted, not
+/// of the listener? Per `man 2 accept`, Linux reports an aborted or reset
+/// handshake and the new socket's pending network errors this way.
+fn is_connection_error(e: &std::io::Error) -> bool {
+    /// `EPROTO`, `ENOPROTOOPT`, `EHOSTDOWN`, `ENONET` and `EOPNOTSUPP` on
+    /// Linux, which have no `ErrorKind` of their own.
+    const PENDING_ERRNOS: [i32; 5] = [71, 92, 112, 64, 95];
+    matches!(
+        e.kind(),
+        ErrorKind::ConnectionAborted
+            | ErrorKind::ConnectionReset
+            | ErrorKind::Interrupted
+            | ErrorKind::NetworkDown
+            | ErrorKind::NetworkUnreachable
+            | ErrorKind::HostUnreachable
+    ) || (cfg!(target_os = "linux")
+        && e.raw_os_error()
+            .is_some_and(|n| PENDING_ERRNOS.contains(&n)))
 }
 
 fn serve_connection(stream: TcpStream, state: Arc<State>) {
@@ -230,7 +304,7 @@ fn dispatch(line: &str, state: &State) -> String {
     match cmd {
         Command::Ping => "{\"ok\":true,\"pong\":true}".to_string(),
         Command::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.request_shutdown();
             "{\"ok\":true,\"shutting_down\":true}".to_string()
         }
         Command::Metrics => {
@@ -409,5 +483,40 @@ fn execute_on_session(cmd: &Command, session: &mut Session) -> String {
             format!("{{\"ok\":true,\"report\":{}}}", session.report_json())
         }
         other => err_response(&format!("unhandled command {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_connects_to_loopback_for_unspecified_binds() {
+        let addr = |s: &str| s.parse::<SocketAddr>().expect("valid address");
+        assert_eq!(
+            self_connect_addr(addr("0.0.0.0:4600")),
+            addr("127.0.0.1:4600")
+        );
+        assert_eq!(self_connect_addr(addr("[::]:4600")), addr("[::1]:4600"));
+        assert_eq!(
+            self_connect_addr(addr("10.1.2.3:4600")),
+            addr("10.1.2.3:4600")
+        );
+    }
+
+    #[test]
+    fn only_per_connection_accept_errors_are_skipped() {
+        use std::io::Error;
+        assert!(is_connection_error(&Error::from(
+            ErrorKind::ConnectionAborted
+        )));
+        assert!(is_connection_error(&Error::from(
+            ErrorKind::ConnectionReset
+        )));
+        if cfg!(target_os = "linux") {
+            assert!(is_connection_error(&Error::from_raw_os_error(71))); // EPROTO
+            assert!(!is_connection_error(&Error::from_raw_os_error(24))); // EMFILE
+        }
+        assert!(!is_connection_error(&Error::from(ErrorKind::InvalidInput)));
     }
 }

@@ -365,10 +365,12 @@ impl Session {
     /// journal must reproduce these bytes exactly at any worker thread
     /// count — the daemon's determinism contract.
     pub fn report_json(&mut self) -> String {
-        let p50 = self.traffic.latencies.quantile(0.50).unwrap_or(0.0);
-        let p90 = self.traffic.latencies.quantile(0.90).unwrap_or(0.0);
-        let p99 = self.traffic.latencies.quantile(0.99).unwrap_or(0.0);
-        let t = self.traffic.clone();
+        let [p50, p90, p99] = self
+            .traffic
+            .latencies
+            .quantiles([0.50, 0.90, 0.99])
+            .unwrap_or([0.0; 3]);
+        let t = &self.traffic;
         format!(
             concat!(
                 r#"{{"session":{},"seed":{},"clock_ns":{},"bursts":{},"mutations":{},"#,

@@ -2,9 +2,12 @@
 //!
 //! The workspace forbids dependencies, so SIGINT/SIGTERM are hooked with
 //! one `signal(2)` FFI call each, and the handler does the only
-//! async-signal-safe thing it needs to: set an `AtomicBool`. The accept
-//! loop and every connection thread poll the flag (their sockets run
-//! with short timeouts), drain, flush journals, and exit 0 — the
+//! async-signal-safe thing it needs to: set an `AtomicBool`. The handler
+//! cannot interrupt the daemon's blocking `accept()` (std retries it on
+//! `EINTR`), so the daemon's drain watcher polls the flag and wakes the
+//! accept loop with a connection to its own listener; connection threads
+//! poll it on short read timeouts. Within one poll interval of the
+//! signal the daemon drains, flushes journals, and exits 0 — the
 //! graceful-shutdown contract `crates/serve/tests/process.rs` pins from
 //! outside the process.
 
@@ -49,8 +52,8 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Request a graceful shutdown programmatically (the `shutdown` protocol
-/// command shares the signal path).
+/// Request a graceful shutdown of every daemon in the process, as a
+/// signal would (seen within one poll interval).
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }

@@ -359,3 +359,39 @@ fn request_line_split_across_read_timeouts_stays_whole() {
     drop(c);
     daemon.shutdown();
 }
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_delay() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("accept");
+    // Each connection is served as soon as `accept()` returns it; a
+    // listener that polled on a 50 ms timer would make 10 fresh
+    // connections take about half a second.
+    let start = std::time::Instant::now();
+    for _ in 0..10 {
+        let mut c = daemon.client();
+        c.ok("{\"op\":\"ping\"}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(150),
+        "10 connect-ping-close cycles took {elapsed:?}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_command_returns_run_promptly() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The `shutdown` command wakes the blocked accept loop at once rather
+    // than on the next poll tick.
+    let start = std::time::Instant::now();
+    for cycle in 0..5 {
+        start_daemon(&format!("prompt{cycle}")).shutdown();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(150),
+        "5 start-shutdown-join cycles took {elapsed:?}"
+    );
+}

@@ -306,6 +306,15 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// Serializes this crate's tests that register or bump metrics: a
+/// snapshot taken while a sibling test registers one would differ from
+/// the next.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +322,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
+        let _guard = test_guard();
         static B: LazyCounter = LazyCounter::stable("telemetry.test.b_counter");
         static A: LazyCounter = LazyCounter::stable("telemetry.test.a_counter");
         static H: LazyHistogram = LazyHistogram::stable("telemetry.test.hops", Unit::Hops);
@@ -338,6 +348,7 @@ mod tests {
 
     #[test]
     fn stable_fingerprint_excludes_racy_metrics() {
+        let _guard = test_guard();
         static STABLE: LazyCounter = LazyCounter::stable("telemetry.test.fp_stable");
         static RACY: LazyCounter = LazyCounter::racy("telemetry.test.fp_racy");
         STABLE.incr();
@@ -349,6 +360,7 @@ mod tests {
 
     #[test]
     fn json_renders_and_escapes() {
+        let _guard = test_guard();
         static C: LazyCounter = LazyCounter::stable("telemetry.test.json_counter");
         C.incr();
         let json = snapshot().to_json();
@@ -359,6 +371,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_snapshot_to_json() {
+        let _guard = test_guard();
         static C: LazyCounter = LazyCounter::stable("telemetry.test.shared_serializer");
         C.incr();
         assert_eq!(snapshot_json(), snapshot().to_json());
@@ -440,6 +453,7 @@ mod tests {
 
     #[test]
     fn kind_conflict_panics() {
+        let _guard = test_guard();
         counter("telemetry.test.kind_conflict", Determinism::Stable);
         let err = std::panic::catch_unwind(|| {
             histogram(
@@ -456,6 +470,7 @@ mod tests {
 
     #[test]
     fn determinism_conflict_panics() {
+        let _guard = test_guard();
         counter("telemetry.test.det_conflict", Determinism::Stable);
         let err =
             std::panic::catch_unwind(|| counter("telemetry.test.det_conflict", Determinism::Racy));
