@@ -154,24 +154,11 @@ fn stable_metrics_identical_at_any_thread_count() {
     clear_graph_pool();
 }
 
-/// Flatten one full-constellation traffic-engine run into a comparable
-/// string: every counter, both byte tallies, the per-shell breakdown,
-/// the exact hop histogram, and the full quantile ladder as raw bits.
-fn traffic_fingerprint() -> String {
-    use spacecdn_suite::prelude::{
-        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, Geodetic, Latency,
-        TrafficConfig, TrafficSource,
-    };
-    let mut scenarios = starlink_shell_scenarios(&[0, 1, 2, 3], &FaultSchedule::none());
-    let cfg = TrafficConfig {
-        requests: 4_000,
-        streams: 5,
-        epochs: 2,
-        catalog_size: 600,
-        cache_bytes_per_sat: 256 << 20,
-        ..TrafficConfig::default()
-    };
-    let sources: Vec<TrafficSource> = [
+/// The four weighted demand points every traffic fingerprint draws from,
+/// with a flat 140 ms ground fallback per epoch.
+fn fingerprint_sources(epochs: usize) -> Vec<spacecdn_suite::prelude::TrafficSource> {
+    use spacecdn_suite::prelude::{Geodetic, Latency, TrafficSource};
+    [
         (40.4, -3.7, 6u32),
         (-25.97, 32.57, 2),
         (51.5, -0.13, 9),
@@ -181,84 +168,16 @@ fn traffic_fingerprint() -> String {
     .map(|(lat, lon, weight)| TrafficSource {
         position: Geodetic::ground(lat, lon),
         weight,
-        fallback_rtt: vec![Latency::from_ms(140.0); cfg.epochs],
+        fallback_rtt: vec![Latency::from_ms(140.0); epochs],
     })
-    .collect();
-    let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
-    let mut out = format!(
-        "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};served={};ob={};hops={:?};shells={:?};",
-        r.requests,
-        r.overhead_hits,
-        r.isl_hits,
-        r.origin_fetches,
-        r.dead_zones,
-        r.inserts,
-        r.evictions,
-        r.ttl_expiries,
-        r.invalidations,
-        r.served_bytes,
-        r.origin_bytes,
-        r.hop_histogram,
-        r.per_shell,
-    );
-    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-        out.push_str(&format!(
-            "q{q}={:?};",
-            r.latencies.quantile(q).map(f64::to_bits)
-        ));
-    }
-    out
+    .collect()
 }
 
-#[test]
-fn traffic_engine_identical_at_any_thread_count() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let sequential = with_thread_count(1, traffic_fingerprint);
-    for threads in [2, 5, 8] {
-        let parallel = with_thread_count(threads, traffic_fingerprint);
-        assert_eq!(
-            sequential, parallel,
-            "traffic engine diverged at {threads} threads"
-        );
-    }
-}
-
-/// [`traffic_fingerprint`] with an orbit-aware placement plan pinned
-/// under the pull-through fleets and cooperative neighbor lookup on:
-/// covers the pre-seeded holder lists, the pinned/neighbor hit split,
-/// the ground-tier counters and the per-request decision digest across
-/// the parallelism grain.
-fn traffic_placement_fingerprint() -> String {
-    use spacecdn_suite::prelude::{
-        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, Geodetic, Latency,
-        PlacementSpec, TrafficConfig, TrafficSource,
-    };
-    let mut scenarios = starlink_shell_scenarios(&[0, 1], &FaultSchedule::none());
-    let cfg = TrafficConfig {
-        requests: 4_000,
-        streams: 5,
-        epochs: 2,
-        catalog_size: 600,
-        cache_bytes_per_sat: 256 << 20,
-        placement: Some(
-            PlacementSpec::parse("perplane-4:budget-4000:cap-64:coop").expect("valid spec"),
-        ),
-        ..TrafficConfig::default()
-    };
-    let sources: Vec<TrafficSource> = [
-        (40.4, -3.7, 6u32),
-        (-25.97, 32.57, 2),
-        (51.5, -0.13, 9),
-        (35.68, 139.69, 10),
-    ]
-    .into_iter()
-    .map(|(lat, lon, weight)| TrafficSource {
-        position: Geodetic::ground(lat, lon),
-        weight,
-        fallback_rtt: vec![Latency::from_ms(140.0); cfg.epochs],
-    })
-    .collect();
-    let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
+/// Flatten a traffic report into a comparable string: every counter
+/// (placement and ground-tier splits included), the decision digest,
+/// both byte tallies, the per-shell breakdown, the exact hop histogram,
+/// and the full quantile ladder as raw bits.
+fn report_fingerprint(r: &mut spacecdn_suite::prelude::TrafficReport) -> String {
     let mut out = format!(
         "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};pin={};nb={};ge={};gr={};go={};digest={:#018x};served={};ob={};hops={:?};shells={:?};",
         r.requests,
@@ -290,6 +209,135 @@ fn traffic_placement_fingerprint() -> String {
     out
 }
 
+/// One full-constellation traffic-engine run, flattened by
+/// [`report_fingerprint`].
+fn traffic_fingerprint() -> String {
+    use spacecdn_suite::prelude::{
+        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, PolicyKind, TrafficConfig,
+    };
+    let mut scenarios = starlink_shell_scenarios(&[0, 1, 2, 3], &FaultSchedule::none());
+    let cfg = TrafficConfig {
+        requests: 4_000,
+        streams: 5,
+        epochs: 2,
+        catalog_size: 600,
+        cache_bytes_per_sat: 256 << 20,
+        policy: PolicyKind::default(),
+        placement: None,
+        ..TrafficConfig::default()
+    };
+    let sources = fingerprint_sources(cfg.epochs);
+    report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
+}
+
+#[test]
+fn traffic_engine_identical_at_any_thread_count() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    let sequential = with_thread_count(1, traffic_fingerprint);
+    for threads in [2, 5, 8] {
+        let parallel = with_thread_count(threads, traffic_fingerprint);
+        assert_eq!(
+            sequential, parallel,
+            "traffic engine diverged at {threads} threads"
+        );
+    }
+}
+
+/// [`traffic_fingerprint`] with an orbit-aware placement plan pinned
+/// under the pull-through fleets and cooperative neighbor lookup on:
+/// covers the pre-seeded holder lists, the pinned/neighbor hit split,
+/// the ground-tier counters and the per-request decision digest across
+/// the parallelism grain.
+fn traffic_placement_fingerprint() -> String {
+    use spacecdn_suite::prelude::{
+        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, PlacementSpec, PolicyKind,
+        TrafficConfig,
+    };
+    let mut scenarios = starlink_shell_scenarios(&[0, 1], &FaultSchedule::none());
+    let cfg = TrafficConfig {
+        requests: 4_000,
+        streams: 5,
+        epochs: 2,
+        catalog_size: 600,
+        cache_bytes_per_sat: 256 << 20,
+        policy: PolicyKind::default(),
+        placement: Some(
+            PlacementSpec::parse("perplane-4:budget-4000:cap-64:coop").expect("valid spec"),
+        ),
+        ..TrafficConfig::default()
+    };
+    let sources = fingerprint_sources(cfg.epochs);
+    report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
+}
+
+/// All four shells, three streams sharing each epoch's geometry,
+/// cooperative placement, and a satellite outage that opens between
+/// epoch 1 (157 s) and epoch 2 (314 s): every other satellite index below
+/// the smallest shell's size dies at 200 s in every shell, so the last
+/// epoch resolves new overhead satellites and wipes the dead ones' caches.
+fn traffic_outage_fingerprint() -> String {
+    use spacecdn_suite::prelude::{
+        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, PlacementSpec, PolicyKind,
+        SatIndex, SimTime, TrafficConfig,
+    };
+    let mut schedule = FaultSchedule::none();
+    for sat in (0..348).step_by(2) {
+        schedule.sat_outage(SatIndex(sat), SimTime::from_secs(200), None);
+    }
+    let mut scenarios = starlink_shell_scenarios(&[0, 1, 2, 3], &schedule);
+    let cfg = TrafficConfig {
+        requests: 6_000,
+        streams: 3,
+        epochs: 3,
+        catalog_size: 600,
+        cache_bytes_per_sat: 64 << 20,
+        policy: PolicyKind::default(),
+        placement: Some(
+            PlacementSpec::parse("perplane-2:budget-3000:cap-32:coop").expect("valid spec"),
+        ),
+        ..TrafficConfig::default()
+    };
+    let sources = fingerprint_sources(cfg.epochs);
+    report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
+}
+
+/// Exact outputs of the three traffic fingerprints, recorded before the
+/// engine began sharing each burst's (epoch, source) geometry across
+/// shards. Any change to how geometry, routing tables or memo validity
+/// are computed must reproduce them bit for bit.
+const GOLDEN_TRAFFIC: &str = "req=4000;oh=1244;isl=1266;origin=1490;dead=0;ins=1490;ev=448;ttl=0;inv=0;\
+     pin=0;nb=0;ge=0;gr=0;go=0;digest=0x08ec57ec14773b41;served=4522890378;\
+     ob=2286332287;hops=[0, 0, 487, 280, 0, 0, 11, 0, 61, 0, 427];\
+     shells=[ShellTraffic { overhead_hits: 0, isl_hits: 0, inserts: 0 }, ShellTraffic { overhead_hits: 1237, isl_hits: 1255, inserts: 1426 }, ShellTraffic { overhead_hits: 7, isl_hits: 11, inserts: 64 }, ShellTraffic { overhead_hits: 0, isl_hits: 0, inserts: 0 }];\
+     q0=Some(4620097712983766522);q0.1=Some(4623202598723663327);\
+     q0.25=Some(4625555496874455665);q0.5=Some(4631736965018261107);\
+     q0.75=Some(4639129828656676864);q0.9=Some(4639129828656676864);\
+     q1=Some(4639129828656676864);";
+const GOLDEN_PLACEMENT: &str = "req=4000;oh=262;isl=3151;origin=587;dead=0;ins=587;ev=19;ttl=0;inv=0;pin=3024;\
+     nb=300;ge=0;gr=0;go=0;digest=0x6c12ca6a54a72f6f;served=5903737690;\
+     ob=905484975;hops=[0, 300, 456, 483, 505, 457, 162, 176, 213, 193, 206];\
+     shells=[ShellTraffic { overhead_hits: 23, isl_hits: 1582, inserts: 0 }, ShellTraffic { overhead_hits: 239, isl_hits: 1569, inserts: 587 }];\
+     q0=Some(4620359224978397695);q0.1=Some(4626411262370422172);\
+     q0.25=Some(4629726747073532322);q0.5=Some(4631834300615182399);\
+     q0.75=Some(4635628821045229308);q0.9=Some(4639129828656676864);\
+     q1=Some(4639129828656676864);";
+const GOLDEN_OUTAGE: &str = "req=6000;oh=402;isl=4479;origin=1119;dead=0;ins=1119;ev=636;ttl=0;inv=27;\
+     pin=4389;nb=432;ge=0;gr=0;go=0;digest=0x566a74aca6065482;served=9173940382;\
+     ob=1702166211;hops=[0, 432, 843, 689, 634, 633, 335, 237, 263, 193, 220];\
+     shells=[ShellTraffic { overhead_hits: 2, isl_hits: 1366, inserts: 0 }, ShellTraffic { overhead_hits: 322, isl_hits: 1251, inserts: 1097 }, ShellTraffic { overhead_hits: 30, isl_hits: 1061, inserts: 22 }, ShellTraffic { overhead_hits: 48, isl_hits: 801, inserts: 0 }];\
+     q0=Some(4620936553691380785);q0.1=Some(4627184685980147286);\
+     q0.25=Some(4630337067941460820);q0.5=Some(4633116070838132940);\
+     q0.75=Some(4636774997614063844);q0.9=Some(4639129828656676864);\
+     q1=Some(4639129828656676864);";
+
+#[test]
+fn traffic_fingerprints_match_recorded_goldens() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    assert_eq!(traffic_fingerprint(), GOLDEN_TRAFFIC);
+    assert_eq!(traffic_placement_fingerprint(), GOLDEN_PLACEMENT);
+    assert_eq!(traffic_outage_fingerprint(), GOLDEN_OUTAGE);
+}
+
 #[test]
 fn placement_traffic_identical_at_any_thread_count() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -317,8 +365,7 @@ fn placement_traffic_identical_at_any_thread_count() {
 /// with caches tight enough that every policy's eviction path runs hot.
 fn traffic_policy_fingerprint(policy: spacecdn_suite::prelude::PolicyKind) -> String {
     use spacecdn_suite::prelude::{
-        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, Geodetic, Latency,
-        TrafficConfig, TrafficSource,
+        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, TrafficConfig,
     };
     let mut scenarios = starlink_shell_scenarios(&[0], &FaultSchedule::none());
     let cfg = TrafficConfig {
@@ -330,42 +377,8 @@ fn traffic_policy_fingerprint(policy: spacecdn_suite::prelude::PolicyKind) -> St
         policy,
         ..TrafficConfig::default()
     };
-    let sources: Vec<TrafficSource> = [
-        (40.4, -3.7, 6u32),
-        (-25.97, 32.57, 2),
-        (51.5, -0.13, 9),
-        (35.68, 139.69, 10),
-    ]
-    .into_iter()
-    .map(|(lat, lon, weight)| TrafficSource {
-        position: Geodetic::ground(lat, lon),
-        weight,
-        fallback_rtt: vec![Latency::from_ms(140.0); cfg.epochs],
-    })
-    .collect();
-    let mut r = run_traffic_multishell(&mut scenarios, &sources, &cfg);
-    let mut out = format!(
-        "req={};oh={};isl={};origin={};dead={};ins={};ev={};ttl={};inv={};served={};ob={};hops={:?};",
-        r.requests,
-        r.overhead_hits,
-        r.isl_hits,
-        r.origin_fetches,
-        r.dead_zones,
-        r.inserts,
-        r.evictions,
-        r.ttl_expiries,
-        r.invalidations,
-        r.served_bytes,
-        r.origin_bytes,
-        r.hop_histogram,
-    );
-    for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-        out.push_str(&format!(
-            "q{q}={:?};",
-            r.latencies.quantile(q).map(f64::to_bits)
-        ));
-    }
-    out
+    let sources = fingerprint_sources(cfg.epochs);
+    report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
 }
 
 #[test]
