@@ -26,10 +26,14 @@
 //!   deletion, and epoch invalidations drain the wiped slots. The
 //!   per-request candidate scan is therefore pure arithmetic over live
 //!   holders, with no per-candidate freshness probing.
-//! - **Batched retrieval per (source, epoch).** All requests a source
+//! - **Batched retrieval per (epoch, source).** All requests a source
 //!   issues within one topology epoch share the same overhead satellite,
-//!   user-link geometry and routing tables per shell, so a `BatchCtx`
-//!   resolves them once and thousands of requests reuse it
+//!   user-link geometry and routing tables per shell, on every shard. A
+//!   burst resolves each pair's `BatchGeo` once before the shards start
+//!   ([`resolve_overheads`] warms the tables, one task per distinct
+//!   overhead satellite); shards only read it. A shard keeps just a
+//!   `BatchCtx` per source it serves — the memo generation minted on
+//!   first touch and a request count — and thousands of requests reuse it
 //!   (`core.traffic.batch.*` telemetry tracks the amortization).
 //!
 //! # Determinism contract
@@ -42,10 +46,10 @@
 //! `traffic/service/{s}` for the one scheduling-jitter draw each
 //! non-dead-zone request makes — its own event stream, and its own cache
 //! fleet; shards only share the **read-only** per-epoch topology
-//! snapshots. Shard samplers are built with [`ZipfSampler::over_ranks`],
-//! so the union of all shards reproduces the global Zipf demand exactly
-//! while no mutable state crosses a thread boundary. Reports merge in
-//! shard order. The result: byte-identical output at any thread count,
+//! snapshots and the burst's (epoch, source) geometry. Shard samplers
+//! are built with [`ZipfSampler::over_ranks`], so the union of all
+//! shards reproduces the global Zipf demand exactly while no mutable
+//! state crosses a thread boundary. Reports merge in shard order. The result: byte-identical output at any thread count,
 //! for the full constellation, proven by `tests/determinism.rs`.
 
 use crate::duty_cycle::DutyCycler;
@@ -61,7 +65,7 @@ use spacecdn_des::stream::{drive, EventStream, FixedTicks, Merged, MergedEvent};
 use spacecdn_des::Percentiles;
 use spacecdn_engine::{par_map, par_map_indices};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
-use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
+use spacecdn_geo::{DetRng, Geodetic, Km, Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, IslGraph, SourceTables};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, LocalHistogram, Unit};
@@ -449,10 +453,10 @@ fn fold_decision(digest: &mut u64, source: u32, slot: u32, hops: u32, rtt: Laten
 /// FNV-1a offset basis: each shard's digest starts here.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Per-shell retrieval geometry of one (source, epoch) batch: the
+/// Per-shell retrieval geometry of one (epoch, source) batch: the
 /// overhead satellite (as a global slot), its user-link propagation
 /// round trip, and the routing tables rooted at it.
-struct ShellCtx {
+struct ShellGeo {
     overhead_slot: u32,
     user_prop: Latency,
     tables: Arc<SourceTables>,
@@ -540,17 +544,75 @@ impl MemoArena {
     }
 }
 
-/// Everything a source's requests share within one topology epoch.
-/// Building one costs a nearest-satellite search plus a routing-table
-/// resolution per shell; every further request in the batch reuses it.
-struct BatchCtx {
-    shells: Vec<Option<ShellCtx>>,
+/// Everything a source's requests share within one topology epoch, on
+/// every shard: resolved once per burst before the shards start, then
+/// read by all of them.
+struct BatchGeo {
+    shells: Vec<Option<ShellGeo>>,
     /// Pull-through target: the overhead slot with the smallest slant
     /// range across shells (`None` in a total dead zone).
     fill: Option<u32>,
-    /// Build generation, starting at 1: stamped into every memo entry
-    /// this context's scans produce, so retiring the context (new epoch,
-    /// new geometry) implicitly invalidates them all.
+}
+
+impl BatchGeo {
+    /// Assemble source `si`'s geometry from one epoch's per-shell graphs
+    /// and their [`resolve_overheads`] rows.
+    fn new(
+        graphs: &[Arc<IslGraph>],
+        overheads: &[Vec<Option<Overhead>>],
+        si: usize,
+        shell_offsets: &[u32],
+        coop: bool,
+    ) -> BatchGeo {
+        let mut fill: Option<(u32, f64)> = None;
+        let shells = graphs
+            .iter()
+            .zip(overheads)
+            .enumerate()
+            .map(|(k, (graph, row))| {
+                let o = row[si].as_ref()?;
+                let slot = shell_offsets[k] + o.sat.0;
+                if fill.is_none_or(|(_, s)| o.slant.0 < s) {
+                    fill = Some((slot, o.slant.0));
+                }
+                let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+                // Cooperative probe targets: the CSR row already excludes
+                // dead neighbors and failed links, so every entry is a
+                // live one-hop fetch.
+                let neighbors = if coop {
+                    let (row, kms) = graph.neighbor_row(o.sat.0);
+                    row.iter()
+                        .zip(kms)
+                        .map(|(&nb, &km)| {
+                            (shell_offsets[k] + nb, user_prop + neighbor_probe_cost(km))
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                Some(ShellGeo {
+                    overhead_slot: slot,
+                    user_prop,
+                    tables: Arc::clone(&o.tables),
+                    neighbors,
+                })
+            })
+            .collect();
+        BatchGeo {
+            shells,
+            fill: fill.map(|(slot, _)| slot),
+        }
+    }
+}
+
+/// A shard's live batch for one source in the current epoch: the shared
+/// [`BatchGeo`] carries the geometry, this only what the shard's own
+/// event sequence decides.
+struct BatchCtx {
+    /// Build generation, starting at 1, minted when the shard first
+    /// serves the source this epoch: stamped into every memo entry this
+    /// batch's scans produce, so retiring it (new epoch, new geometry)
+    /// implicitly invalidates them all.
     gen: u32,
     requests: u64,
 }
@@ -588,6 +650,8 @@ struct ShardWorld<'a> {
     /// `(expiry, slot, content)`; records whose entry was refreshed,
     /// evicted, or invalidated in the meantime are skipped on pop.
     expiries: VecDeque<(SimTime, u32, ContentId)>,
+    /// Per-source live batch of the current epoch (`None` until the
+    /// shard first serves that source this epoch).
     ctxs: Vec<Option<BatchCtx>>,
     /// Scan memos of every touched (source, rank) pair (see
     /// [`RankMemo`]). The scheduling jitter is a common additive term on
@@ -618,7 +682,7 @@ struct ShardWorld<'a> {
     dense_cap: usize,
     epoch: usize,
     report: TrafficReport,
-    /// Batch contexts built this shard (flushed to telemetry once).
+    /// Batch contexts formed this shard (flushed to telemetry once).
     batches_formed: u64,
     /// Per-request latency samples, folded into the registry histogram
     /// once per shard instead of two atomics per request.
@@ -631,6 +695,8 @@ struct ShardWorld<'a> {
     catalog: &'a Catalog,
     // Shared read-only context.
     graphs: &'a [Vec<Arc<IslGraph>>],
+    /// The burst's geometry, `[epoch][source]`.
+    geos: &'a [Vec<BatchGeo>],
     shell_offsets: &'a [u32],
     shell_of: &'a [u8],
     sources: &'a [TrafficSource],
@@ -699,55 +765,6 @@ impl ShardWorld<'_> {
         fallback + self.tier_surcharge[tier]
     }
 
-    /// Resolve the retrieval geometry of `source` at the current epoch.
-    fn build_ctx(&self, si: usize, gen: u32) -> BatchCtx {
-        let pos = self.sources[si].position;
-        let epoch_graphs = &self.graphs[self.epoch];
-        let mut shells = Vec::with_capacity(epoch_graphs.len());
-        let mut fill: Option<(u32, f64)> = None;
-        for (k, graph) in epoch_graphs.iter().enumerate() {
-            match graph.nearest_alive(pos) {
-                Some((sat, slant)) => {
-                    let slot = self.shell_offsets[k] + sat.0;
-                    if fill.is_none_or(|(_, s)| slant.0 < s) {
-                        fill = Some((slot, slant.0));
-                    }
-                    let user_prop = propagation_delay(slant, Medium::Vacuum).round_trip();
-                    // Cooperative probe targets: the CSR row already
-                    // excludes dead neighbors and failed links, so every
-                    // entry is a live one-hop fetch.
-                    let neighbors = if self.coop {
-                        let (row, kms) = graph.neighbor_row(sat.0);
-                        row.iter()
-                            .zip(kms)
-                            .map(|(&nb, &km)| {
-                                (
-                                    self.shell_offsets[k] + nb,
-                                    user_prop + neighbor_probe_cost(km),
-                                )
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    shells.push(Some(ShellCtx {
-                        overhead_slot: slot,
-                        user_prop,
-                        tables: graph.routing_tables(sat),
-                        neighbors,
-                    }));
-                }
-                None => shells.push(None),
-            }
-        }
-        BatchCtx {
-            shells,
-            fill: fill.map(|(slot, _)| slot),
-            gen,
-            requests: 0,
-        }
-    }
-
     /// Resolve one request at simulated time `t`.
     fn arrival(&mut self, t: SimTime, a: Arrival) {
         self.report.requests += 1;
@@ -755,22 +772,28 @@ impl ShardWorld<'_> {
         self.drain_expiries(t);
 
         let si = a.source as usize;
-        if self.ctxs[si].is_none() {
-            let gen = self.next_gen;
-            self.next_gen = self.next_gen.wrapping_add(1);
-            let built = self.build_ctx(si, gen);
-            self.ctxs[si] = Some(built);
-            self.batches_formed += 1;
-        }
-        let mut ctx = self.ctxs[si].take().expect("context just ensured");
-        ctx.requests += 1;
+        let gen = match &mut self.ctxs[si] {
+            Some(ctx) => {
+                ctx.requests += 1;
+                ctx.gen
+            }
+            None => {
+                let gen = self.next_gen;
+                self.next_gen = self.next_gen.wrapping_add(1);
+                self.ctxs[si] = Some(BatchCtx { gen, requests: 1 });
+                self.batches_formed += 1;
+                gen
+            }
+        };
+        let geos = self.geos;
+        let geo = &geos[self.epoch][si];
 
         let rank = a.rank as usize;
         let content = self.shard_ids[rank];
         let size = self.sizes[rank];
         let fallback = self.sources[si].fallback_rtt[self.epoch];
 
-        if ctx.fill.is_none() {
+        if geo.fill.is_none() {
             // Total dead zone: no shell has a visible satellite. Ground
             // serve at the fallback RTT (tiered when enabled), no jitter
             // draw.
@@ -787,7 +810,6 @@ impl ShardWorld<'_> {
             );
             self.report.latencies.add_latency(latency);
             self.latency_local.record((latency.ms() * 1000.0) as u64);
-            self.ctxs[si] = Some(ctx);
             return;
         }
 
@@ -810,10 +832,10 @@ impl ShardWorld<'_> {
         let rungs0 = self.coop as usize;
         let hs = &self.holders[rank];
         let (memo, bests) = self.memos.entry(si, rank);
-        let rebuilt = memo.gen != ctx.gen || memo.removals != self.holder_removals[rank];
+        let rebuilt = memo.gen != gen || memo.removals != self.holder_removals[rank];
         if rebuilt {
             bests.fill(None);
-            memo.gen = ctx.gen;
+            memo.gen = gen;
             memo.removals = self.holder_removals[rank];
             memo.seen = 0;
         }
@@ -836,19 +858,19 @@ impl ShardWorld<'_> {
                 let dense = self.dense_of[g as usize] as usize;
                 debug_assert_ne!(dense, u16::MAX as usize, "holder without a dense id");
                 let cached = &mut self.slot_cost[si * self.dense_cap + dense];
-                if cached.0 != ctx.gen {
-                    *cached = (ctx.gen, Latency::ZERO, u32::MAX);
+                if cached.0 != gen {
+                    *cached = (gen, Latency::ZERO, u32::MAX);
                     let shell = self.shell_of[g as usize] as usize;
-                    if let Some(sc) = ctx.shells[shell].as_ref() {
+                    if let Some(sc) = geo.shells[shell].as_ref() {
                         if g == sc.overhead_slot {
-                            *cached = (ctx.gen, sc.user_prop, 0);
+                            *cached = (gen, sc.user_prop, 0);
                         } else {
                             let local = (g - self.shell_offsets[shell]) as usize;
                             let h = sc.tables.hops[local];
                             let (dist_km, route_hops) = sc.tables.km[local];
                             if h != u32::MAX && dist_km.is_finite() {
                                 let cost = space_segment_cost(self.access, dist_km, route_hops);
-                                *cached = (ctx.gen, sc.user_prop + cost, h);
+                                *cached = (gen, sc.user_prop + cost, h);
                             }
                         }
                     }
@@ -864,7 +886,7 @@ impl ShardWorld<'_> {
                         Some((rtt, 0u32))
                     } else {
                         let shell = self.shell_of[g as usize] as usize;
-                        ctx.shells[shell].as_ref().and_then(|sc| {
+                        geo.shells[shell].as_ref().and_then(|sc| {
                             sc.neighbors
                                 .iter()
                                 .find(|&&(n, _)| n == g)
@@ -940,7 +962,7 @@ impl ShardWorld<'_> {
                 // cycle lets it, and unless the plan already pins this
                 // object there (a pinned copy never needs a dynamic
                 // shadow).
-                let fill = ctx.fill.expect("non-dead-zone batch has a fill target");
+                let fill = geo.fill.expect("non-dead-zone batch has a fill target");
                 if self.duty.is_active(SatIndex(fill), t) && !self.pinned[rank].contains(&fill) {
                     self.dropped.clear();
                     if self
@@ -985,7 +1007,6 @@ impl ShardWorld<'_> {
 
         self.report.latencies.add_latency(latency);
         self.latency_local.record((latency.ms() * 1000.0) as u64);
-        self.ctxs[si] = Some(ctx);
     }
 
     /// Swap to epoch `e`: retire every batch context (their geometry is
@@ -1019,6 +1040,65 @@ impl ShardWorld<'_> {
             }
         }
     }
+}
+
+/// A ground point's overhead satellite on one snapshot — the servable
+/// satellite nearest in slant range — with the routing tables rooted at
+/// it.
+pub struct Overhead {
+    /// The overhead satellite (shell-local index).
+    pub sat: SatIndex,
+    /// Slant range from the ground point to it.
+    pub slant: Km,
+    /// Routing tables from it, shared with the graph's routing cache.
+    pub tables: Arc<SourceTables>,
+}
+
+/// The [`Overhead`] of every ground point in `users` on every graph in
+/// `graphs`, as `[graph][user]` (`None` where no satellite is servable).
+///
+/// One [`IslGraph::nearest_alive`] pass per graph, then one
+/// [`par_map`] task per *distinct* (graph, overhead satellite) pair, in
+/// graph-major order. A table build costs far more than a search and
+/// users cluster on few satellites, so per-satellite tasks keep every
+/// worker busy where one task per graph left them waiting on the largest
+/// graph. Tables come from (and stay in) each graph's routing cache, so
+/// they are bitwise the tables an on-demand lookup returns.
+pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Option<Overhead>>> {
+    let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
+        users.iter().map(|&user| g.nearest_alive(user)).collect()
+    });
+    let mut tasks: Vec<(usize, SatIndex)> = Vec::new();
+    let task_of: Vec<HashMap<u32, usize>> = nearest
+        .iter()
+        .enumerate()
+        .map(|(gi, row)| {
+            let mut first = HashMap::new();
+            for &(sat, _) in row.iter().flatten() {
+                first.entry(sat.0).or_insert_with(|| {
+                    tasks.push((gi, sat));
+                    tasks.len() - 1
+                });
+            }
+            first
+        })
+        .collect();
+    let tables = par_map(&tasks, |_, &(gi, sat)| graphs[gi].routing_tables(sat));
+    nearest
+        .into_iter()
+        .zip(&task_of)
+        .map(|(row, first)| {
+            row.into_iter()
+                .map(|hit| {
+                    hit.map(|(sat, slant)| Overhead {
+                        sat,
+                        slant,
+                        tables: Arc::clone(&tables[first[&sat.0]]),
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Validate the shared workload inputs (common to both entry points).
@@ -1109,13 +1189,6 @@ fn run_shards(
         .map(|e| per_shell.iter().map(|g| Arc::clone(&g[e])).collect())
         .collect();
 
-    // Every shard resolves its sources' overhead tables on every graph:
-    // build them up front, one graph per worker, so shards never race to
-    // compute the same table.
-    let positions: Vec<Geodetic> = sources.iter().map(|s| s.position).collect();
-    let all_graphs: Vec<&Arc<IslGraph>> = graphs.iter().flatten().collect();
-    par_map(&all_graphs, |_, g| g.warm_overhead_tables(&positions));
-
     // Global satellite slots: shell k's satellite i lives at
     // `shell_offsets[k] + i`; `shell_of` inverts that in O(1).
     let mut shell_offsets = Vec::with_capacity(shells);
@@ -1126,6 +1199,23 @@ fn run_shards(
         total_sats += g.len() as u32;
         shell_of.resize(total_sats as usize, k as u8);
     }
+    let coop = cfg.placement.as_ref().is_some_and(|s| s.cooperative);
+
+    // The burst's (epoch, source) geometry, resolved once for every
+    // shard: the shards only read it, so no two of them repeat a
+    // nearest-satellite search or race to build the same table.
+    let positions: Vec<Geodetic> = sources.iter().map(|s| s.position).collect();
+    let all_graphs: Vec<&IslGraph> = graphs.iter().flatten().map(|g| &**g).collect();
+    let overheads = resolve_overheads(&all_graphs, &positions);
+    let geos: Vec<Vec<BatchGeo>> = graphs
+        .iter()
+        .zip(overheads.chunks(shells))
+        .map(|(epoch_graphs, per_shell)| {
+            (0..sources.len())
+                .map(|si| BatchGeo::new(epoch_graphs, per_shell, si, &shell_offsets, coop))
+                .collect()
+        })
+        .collect();
 
     let catalog = Catalog::generate(
         cfg.catalog_size,
@@ -1194,7 +1284,6 @@ fn run_shards(
     } else {
         Vec::new()
     };
-    let coop = cfg.placement.as_ref().is_some_and(|s| s.cooperative);
     let ground_tiers = cfg.placement.as_ref().is_some_and(|s| s.ground_tiers);
     let tier_latencies = TierLatencies::typical();
     let tier_surcharge = [
@@ -1303,6 +1392,7 @@ fn run_shards(
             sizes: &sizes,
             catalog: &catalog,
             graphs: &graphs,
+            geos: &geos,
             shell_offsets: &shell_offsets,
             shell_of: &shell_of,
             sources,
@@ -1696,6 +1786,51 @@ mod tests {
             (memos as u64) < served,
             "hot pairs must share memos: {memos} memos for {served} requests"
         );
+    }
+
+    #[test]
+    fn resolve_overheads_matches_on_demand_lookups() {
+        use spacecdn_lsn::FaultPlan;
+        let c = Constellation::new(shells::starlink_shell1());
+        let pristine = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
+        let mut faults = FaultPlan::none();
+        faults.fail_random_sats(c.len(), 0.2, &mut DetRng::new(3, "overheads"));
+        let faulted = IslGraph::build(&c, SimTime::from_secs(97), &faults);
+        // No satellite of this graph can serve ground: every user is in a
+        // dead zone there.
+        let mut dark = FaultPlan::none();
+        for sat in c.sat_indices() {
+            dark.fail_gsl(sat);
+        }
+        let dark = IslGraph::build(&c, SimTime::EPOCH, &dark);
+        // Madrid twice: duplicate users share one overhead task.
+        let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
+        users.push(users[0]);
+
+        let graphs = [&pristine, &faulted, &dark];
+        let resolved = resolve_overheads(&graphs, &users);
+        assert_eq!(resolved.len(), graphs.len());
+        for (graph, row) in graphs.iter().zip(&resolved) {
+            assert_eq!(row.len(), users.len());
+            for (&user, got) in users.iter().zip(row) {
+                match (graph.nearest_alive(user), got) {
+                    (Some((sat, slant)), Some(o)) => {
+                        assert_eq!(o.sat, sat);
+                        assert_eq!(o.slant.0.to_bits(), slant.0.to_bits());
+                        assert_eq!(*o.tables, SourceTables::compute(graph, sat));
+                    }
+                    (None, None) => {}
+                    (want, got) => panic!(
+                        "overhead mismatch: want {want:?}, got {:?}",
+                        got.as_ref().map(|o| o.sat)
+                    ),
+                }
+            }
+        }
+        assert!(resolved[2].iter().all(Option::is_none));
+        let (first, dup) = (&resolved[1][0], &resolved[1][users.len() - 1]);
+        let (first, dup) = (first.as_ref().unwrap(), dup.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&first.tables, &dup.tables));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use spacecdn_core::network::LsnNetwork;
 use spacecdn_core::placement::PlacementSpec;
 use spacecdn_core::scenario::Scenario;
 use spacecdn_core::traffic::{
-    run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport, TrafficSource,
+    resolve_overheads, run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport,
+    TrafficSource,
 };
 use spacecdn_des::Percentiles;
 use spacecdn_engine::par_map;
@@ -142,37 +143,36 @@ pub fn covered_traffic_sources_from(
         .filter(|city| covered.contains(&city.cc))
         .collect();
     // Every city resolves its overhead satellite's routing tables on
-    // every snapshot: build them up front, one snapshot per worker.
+    // every snapshot: build them up front, one task per distinct
+    // (snapshot, satellite). These are the pooled graphs the traffic
+    // engine's shell 0 freezes at the same instants, so its bursts find
+    // the tables warm.
     let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
-    par_map(&snapshots, |_, snap| {
-        snap.graph().warm_overhead_tables(&positions)
-    });
+    let graphs: Vec<_> = snapshots.iter().map(|snap| snap.graph()).collect();
+    resolve_overheads(&graphs, &positions);
 
-    let mut sources = Vec::new();
-    for city in served {
+    // The PoP leg (home PoP, then anycast to the nearest CDN site) is
+    // epoch-independent: one per city, then one bent-pipe query per epoch.
+    par_map(&served, |_, city| {
         let pop = home_pop(city.cc, city.position());
+        let (_, pop_to_site) = anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
+            .expect("sites non-empty");
         let fallback_rtt: Vec<Latency> = snapshots
             .iter()
             .map(|snap| {
                 snap.starlink_rtt_to_pop(city.position(), &pop, None)
-                    .map(|p| {
-                        let (_, pop_to_site) =
-                            anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
-                                .expect("sites non-empty");
-                        p.rtt + pop_to_site
-                    })
+                    .map(|p| p.rtt + pop_to_site)
                     .unwrap_or(Latency::from_ms(300.0))
             })
             .collect();
-        sources.push(TrafficSource {
+        TrafficSource {
             position: city.position(),
             // One weight unit per ~2M people, at least one — the same
             // bucketing the fig7/fig8 city sampler uses.
             weight: (city.population_k / 2000).max(1),
             fallback_rtt,
-        });
-    }
-    sources
+        }
+    })
 }
 
 /// One retrieval scenario per requested Starlink 2024 shell, all under
