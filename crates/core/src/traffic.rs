@@ -1054,6 +1054,15 @@ pub struct Overhead {
     pub tables: Arc<SourceTables>,
 }
 
+/// Table rows (satellites per table, summed over the tables to build)
+/// below which [`resolve_overheads`] builds on the calling thread. A
+/// table costs ~60 ns per row (CSR Dijkstra plus BFS over Shell 1,
+/// `results/BENCH_routing.json`), while fanning out to two fresh workers
+/// costs ~130 µs on a 2-vCPU host, so below ~2k rows the fan-out loses.
+/// The test shell's six-source bursts (384 rows) stay inline; a Starlink
+/// burst's thousands of tables fan out.
+const INLINE_TABLE_ROWS: usize = 2_048;
+
 /// The [`Overhead`] of every ground point in `users` on every graph in
 /// `graphs`, as `[graph][user]` (`None` where no satellite is servable).
 ///
@@ -1062,8 +1071,10 @@ pub struct Overhead {
 /// graph-major order. A table build costs far more than a search and
 /// users cluster on few satellites, so per-satellite tasks keep every
 /// worker busy where one task per graph left them waiting on the largest
-/// graph. Tables come from (and stay in) each graph's routing cache, so
-/// they are bitwise the tables an on-demand lookup returns.
+/// graph. Too few rows to pay for the fan-out ([`INLINE_TABLE_ROWS`]) are
+/// built inline instead. Tables come from (and stay in) each graph's
+/// routing cache, so they are bitwise the tables an on-demand lookup
+/// returns.
 pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Option<Overhead>>> {
     let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
         users.iter().map(|&user| g.nearest_alive(user)).collect()
@@ -1083,7 +1094,17 @@ pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Op
             first
         })
         .collect();
-    let tables = par_map(&tasks, |_, &(gi, sat)| graphs[gi].routing_tables(sat));
+    let build = |_: usize, &(gi, sat): &(usize, SatIndex)| graphs[gi].routing_tables(sat);
+    let rows: usize = tasks.iter().map(|&(gi, _)| graphs[gi].len()).sum();
+    let tables: Vec<Arc<SourceTables>> = if rows < INLINE_TABLE_ROWS {
+        tasks
+            .iter()
+            .enumerate()
+            .map(|(i, task)| build(i, task))
+            .collect()
+    } else {
+        par_map(&tasks, build)
+    };
     nearest
         .into_iter()
         .zip(&task_of)
@@ -1791,46 +1812,56 @@ mod tests {
     #[test]
     fn resolve_overheads_matches_on_demand_lookups() {
         use spacecdn_lsn::FaultPlan;
+        // Madrid twice: duplicate users share one overhead task.
+        let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
+        users.push(users[0]);
+        let check = |graphs: &[&IslGraph]| {
+            let resolved = resolve_overheads(graphs, &users);
+            assert_eq!(resolved.len(), graphs.len());
+            for (graph, row) in graphs.iter().zip(&resolved) {
+                assert_eq!(row.len(), users.len());
+                for (&user, got) in users.iter().zip(row) {
+                    match (graph.nearest_alive(user), got) {
+                        (Some((sat, slant)), Some(o)) => {
+                            assert_eq!(o.sat, sat);
+                            assert_eq!(o.slant.0.to_bits(), slant.0.to_bits());
+                            assert_eq!(*o.tables, SourceTables::compute(graph, sat));
+                        }
+                        (None, None) => {}
+                        (want, got) => panic!(
+                            "overhead mismatch: want {want:?}, got {:?}",
+                            got.as_ref().map(|o| o.sat)
+                        ),
+                    }
+                }
+                if let (Some(first), Some(dup)) = (&row[0], &row[users.len() - 1]) {
+                    assert!(Arc::ptr_eq(&first.tables, &dup.tables));
+                }
+            }
+            resolved
+        };
+
+        // Shell 1 builds fan out: pristine, faulted, and a graph where no
+        // satellite can serve ground, so every user is in a dead zone.
         let c = Constellation::new(shells::starlink_shell1());
         let pristine = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let mut faults = FaultPlan::none();
         faults.fail_random_sats(c.len(), 0.2, &mut DetRng::new(3, "overheads"));
         let faulted = IslGraph::build(&c, SimTime::from_secs(97), &faults);
-        // No satellite of this graph can serve ground: every user is in a
-        // dead zone there.
         let mut dark = FaultPlan::none();
         for sat in c.sat_indices() {
             dark.fail_gsl(sat);
         }
         let dark = IslGraph::build(&c, SimTime::EPOCH, &dark);
-        // Madrid twice: duplicate users share one overhead task.
-        let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
-        users.push(users[0]);
-
-        let graphs = [&pristine, &faulted, &dark];
-        let resolved = resolve_overheads(&graphs, &users);
-        assert_eq!(resolved.len(), graphs.len());
-        for (graph, row) in graphs.iter().zip(&resolved) {
-            assert_eq!(row.len(), users.len());
-            for (&user, got) in users.iter().zip(row) {
-                match (graph.nearest_alive(user), got) {
-                    (Some((sat, slant)), Some(o)) => {
-                        assert_eq!(o.sat, sat);
-                        assert_eq!(o.slant.0.to_bits(), slant.0.to_bits());
-                        assert_eq!(*o.tables, SourceTables::compute(graph, sat));
-                    }
-                    (None, None) => {}
-                    (want, got) => panic!(
-                        "overhead mismatch: want {want:?}, got {:?}",
-                        got.as_ref().map(|o| o.sat)
-                    ),
-                }
-            }
-        }
+        let resolved = check(&[&pristine, &faulted, &dark]);
+        assert!(resolved[0].iter().all(Option::is_some));
         assert!(resolved[2].iter().all(Option::is_none));
-        let (first, dup) = (&resolved[1][0], &resolved[1][users.len() - 1]);
-        let (first, dup) = (first.as_ref().unwrap(), dup.as_ref().unwrap());
-        assert!(Arc::ptr_eq(&first.tables, &dup.tables));
+
+        // The 64-satellite test shell's few rows build inline.
+        let small = Constellation::new(shells::test_shell());
+        let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
+        assert!(users.len() * small.len() < INLINE_TABLE_ROWS);
+        check(&[&small]);
     }
 
     #[test]
