@@ -49,8 +49,9 @@
 //! snapshots and the burst's (epoch, source) geometry. Shard samplers
 //! are built with [`ZipfSampler::over_ranks`], so the union of all
 //! shards reproduces the global Zipf demand exactly while no mutable
-//! state crosses a thread boundary. Reports merge in shard order. The result: byte-identical output at any thread count,
-//! for the full constellation, proven by `tests/determinism.rs`.
+//! state crosses a thread boundary. Reports merge in shard order. The
+//! result: byte-identical output at any thread count, for the full
+//! constellation, proven by `tests/determinism.rs`.
 
 use crate::duty_cycle::DutyCycler;
 use crate::placement::{PlacementPlan, PlacementSpec};
