@@ -1072,10 +1072,10 @@ const INLINE_TABLE_ROWS: usize = 2_048;
 /// graph-major order. A table build costs far more than a search and
 /// users cluster on few satellites, so per-satellite tasks keep every
 /// worker busy where one task per graph left them waiting on the largest
-/// graph. Too few rows to pay for the fan-out ([`INLINE_TABLE_ROWS`]) are
-/// built inline instead. Tables come from (and stay in) each graph's
-/// routing cache, so they are bitwise the tables an on-demand lookup
-/// returns.
+/// graph. Tables covering too few satellite rows to pay for the fan-out
+/// (under 2,048) are built on the calling thread instead. Tables come
+/// from (and stay in) each graph's routing cache, so they are bitwise the
+/// tables an on-demand lookup returns.
 pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Option<Overhead>>> {
     let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
         users.iter().map(|&user| g.nearest_alive(user)).collect()
@@ -1095,16 +1095,12 @@ pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Op
             first
         })
         .collect();
-    let build = |_: usize, &(gi, sat): &(usize, SatIndex)| graphs[gi].routing_tables(sat);
+    let build = |&(gi, sat): &(usize, SatIndex)| graphs[gi].routing_tables(sat);
     let rows: usize = tasks.iter().map(|&(gi, _)| graphs[gi].len()).sum();
     let tables: Vec<Arc<SourceTables>> = if rows < INLINE_TABLE_ROWS {
-        tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| build(i, task))
-            .collect()
+        tasks.iter().map(build).collect()
     } else {
-        par_map(&tasks, build)
+        par_map(&tasks, |_, task| build(task))
     };
     nearest
         .into_iter()
