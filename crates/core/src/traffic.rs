@@ -1055,63 +1055,46 @@ pub struct Overhead {
     pub tables: Arc<SourceTables>,
 }
 
-/// Table rows (satellites per table, summed over the tables to build)
-/// below which [`resolve_overheads`] builds on the calling thread. A
-/// table costs ~60 ns per row (CSR Dijkstra plus BFS over Shell 1,
-/// `results/BENCH_routing.json`), while fanning out to two fresh workers
-/// costs ~130 µs on a 2-vCPU host, so below ~2k rows the fan-out loses.
-/// The test shell's six-source bursts (384 rows) stay inline; a Starlink
-/// burst's thousands of tables fan out.
-const INLINE_TABLE_ROWS: usize = 2_048;
-
 /// The [`Overhead`] of every ground point in `users` on every graph in
 /// `graphs`, as `[graph][user]` (`None` where no satellite is servable).
 ///
-/// One [`IslGraph::nearest_alive`] pass per graph, then one
-/// [`par_map`] task per *distinct* (graph, overhead satellite) pair, in
-/// graph-major order. A table build costs far more than a search and
-/// users cluster on few satellites, so per-satellite tasks keep every
-/// worker busy where one task per graph left them waiting on the largest
-/// graph. Tables covering too few satellite rows to pay for the fan-out
-/// (under 2,048) are built on the calling thread instead. Tables come
+/// One [`IslGraph::nearest_alive`] pass per graph, then one [`par_map`]
+/// task per *distinct* (graph, overhead satellite) pair, in graph-major
+/// order. A table build costs far more than a search and users cluster
+/// on few satellites, so per-satellite tasks keep every worker busy where
+/// one task per graph left them waiting on the largest graph. Tables come
 /// from (and stay in) each graph's routing cache, so they are bitwise the
 /// tables an on-demand lookup returns.
 pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Option<Overhead>>> {
     let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
         users.iter().map(|&user| g.nearest_alive(user)).collect()
     });
-    let mut tasks: Vec<(usize, SatIndex)> = Vec::new();
-    let task_of: Vec<HashMap<u32, usize>> = nearest
+    // Sorted by (graph, satellite), so a binary search finds each task.
+    let tasks: Vec<(usize, SatIndex)> = nearest
         .iter()
         .enumerate()
-        .map(|(gi, row)| {
-            let mut first = HashMap::new();
-            for &(sat, _) in row.iter().flatten() {
-                first.entry(sat.0).or_insert_with(|| {
-                    tasks.push((gi, sat));
-                    tasks.len() - 1
-                });
-            }
-            first
+        .flat_map(|(gi, row)| {
+            let mut sats: Vec<SatIndex> = row.iter().flatten().map(|&(sat, _)| sat).collect();
+            sats.sort_unstable();
+            sats.dedup();
+            sats.into_iter().map(move |sat| (gi, sat))
         })
         .collect();
-    let build = |&(gi, sat): &(usize, SatIndex)| graphs[gi].routing_tables(sat);
-    let rows: usize = tasks.iter().map(|&(gi, _)| graphs[gi].len()).sum();
-    let tables: Vec<Arc<SourceTables>> = if rows < INLINE_TABLE_ROWS {
-        tasks.iter().map(build).collect()
-    } else {
-        par_map(&tasks, |_, task| build(task))
-    };
+    let tables = par_map(&tasks, |_, &(gi, sat)| graphs[gi].routing_tables(sat));
     nearest
         .into_iter()
-        .zip(&task_of)
-        .map(|(row, first)| {
+        .enumerate()
+        .map(|(gi, row)| {
             row.into_iter()
                 .map(|hit| {
-                    hit.map(|(sat, slant)| Overhead {
+                    let (sat, slant) = hit?;
+                    let task = tasks
+                        .binary_search(&(gi, sat))
+                        .expect("every overhead satellite has a task");
+                    Some(Overhead {
                         sat,
                         slant,
-                        tables: Arc::clone(&tables[first[&sat.0]]),
+                        tables: Arc::clone(&tables[task]),
                     })
                 })
                 .collect()
@@ -1838,8 +1821,8 @@ mod tests {
             resolved
         };
 
-        // Shell 1 builds fan out: pristine, faulted, and a graph where no
-        // satellite can serve ground, so every user is in a dead zone.
+        // Pristine, faulted, and a graph where no satellite can serve
+        // ground, so every user is in a dead zone.
         let c = Constellation::new(shells::starlink_shell1());
         let pristine = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let mut faults = FaultPlan::none();
@@ -1854,10 +1837,9 @@ mod tests {
         assert!(resolved[0].iter().all(Option::is_some));
         assert!(resolved[2].iter().all(Option::is_none));
 
-        // The 64-satellite test shell's few rows build inline.
+        // The 64-satellite test shell.
         let small = Constellation::new(shells::test_shell());
         let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
-        assert!(users.len() * small.len() < INLINE_TABLE_ROWS);
         check(&[&small]);
     }
 

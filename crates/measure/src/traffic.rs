@@ -19,6 +19,7 @@ use spacecdn_core::traffic::{
 use spacecdn_des::Percentiles;
 use spacecdn_engine::par_map;
 use spacecdn_geo::{Latency, SimDuration, SimTime};
+use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::{AccessModel, FaultSchedule};
 use spacecdn_orbit::{Constellation, MultiConstellation};
 use spacecdn_telemetry::LazyCounter;
@@ -143,13 +144,16 @@ pub fn covered_traffic_sources_from(
         .filter(|city| covered.contains(&city.cc))
         .collect();
     // Every city resolves its overhead satellite's routing tables on
-    // every snapshot: build them up front, one task per distinct
-    // (snapshot, satellite). These are the pooled graphs the traffic
-    // engine's shell 0 freezes at the same instants, so its bursts find
-    // the tables warm.
-    let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
-    let graphs: Vec<_> = snapshots.iter().map(|snap| snap.graph()).collect();
-    resolve_overheads(&graphs, &positions);
+    // every snapshot: build them into the routing cache up front, one
+    // task per distinct (snapshot, satellite). These are the pooled
+    // graphs the traffic engine's shell 0 freezes at the same instants,
+    // so its bursts find the tables warm. Without the cache there is
+    // nothing to keep them in.
+    if routing_cache_enabled() {
+        let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
+        let graphs: Vec<_> = snapshots.iter().map(|snap| snap.graph()).collect();
+        resolve_overheads(&graphs, &positions);
+    }
 
     // The PoP leg (home PoP, then anycast to the nearest CDN site) is
     // epoch-independent: one per city, then one bent-pipe query per epoch.
