@@ -4,7 +4,7 @@
 //! Three sweeps, one JSON artefact (`results/FAULT_sweep.json`):
 //!
 //! 1. **Failure fraction** 0–40 %: permanent satellite kills, resolved with
-//!    the escalating-retry fetch (`retrieve_resilient`). Kill sets are
+//!    the escalating-retry fetch (a graceful `RetrievalRequest`). Kill sets are
 //!    *nested* across fractions (same shuffled permutation, longer prefix)
 //!    and requests/caches are identical, so the degradation curve is
 //!    monotone by construction — and asserted to be, up to 30 %.

@@ -31,12 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod bubbles;
-pub mod costs;
 pub mod duty_cycle;
 pub mod network;
 pub mod placement;
 pub mod power;
-pub mod prefetch;
 pub mod retrieval;
 pub mod scenario;
 pub mod simulation;
@@ -51,11 +49,8 @@ pub use network::{
     LsnNetwork, LsnSnapshot, PathBreakdown,
 };
 pub use placement::{popularity_copy_allocation, PlacementPlan, PlacementSpec, PlacementStrategy};
-#[allow(deprecated)] // the shims stay re-exported until the next major bump
-pub use retrieval::{retrieve, retrieve_multishell, retrieve_resilient};
 pub use retrieval::{
-    DegradeReason, FetchResult, ResilientOutcome, ResilientRetrievalConfig, RetrievalConfig,
-    RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    DegradeReason, FetchResult, RetrievalOutcome, RetrievalRequest, RetrievalSource,
 };
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use spacevm::{plan_vm_service, VmMigrationPlan, VmServiceConfig};

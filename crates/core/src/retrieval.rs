@@ -11,11 +11,11 @@
 //! description of a fetch (user position, hop-budget escalation ladder,
 //! ground-fallback RTT, graceful-degradation policy) executed against a
 //! topology snapshot — either directly via [`RetrievalRequest::execute`]
-//! or through a long-lived [`crate::scenario::Scenario`] session. The
-//! pre-redesign free functions ([`retrieve`], [`retrieve_resilient`],
-//! [`retrieve_multishell`]) remain as thin deprecated shims that delegate
-//! to the request path and are proven bit-identical to it by the
-//! equivalence suite in `crates/core/tests/equivalence.rs`.
+//! or through a long-lived [`crate::scenario::Scenario`] session. Both
+//! [`RetrievalRequest::execute`] and [`RetrievalRequest::execute_multishell`]
+//! run one private escalation-ladder kernel; the differential oracle in
+//! `crates/core/tests/oracle.rs` checks it bit for bit against an
+//! independent reference pipeline.
 
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency};
@@ -103,21 +103,7 @@ pub struct RetrievalOutcome {
     pub serving_sat: Option<SatIndex>,
 }
 
-/// Parameters of a fetch through the deprecated [`retrieve`] /
-/// [`retrieve_multishell`] shims. New code expresses the same policy on a
-/// [`RetrievalRequest`] (`.hop_budget(..)` + `.ground_fallback(..)`).
-#[derive(Debug, Clone, Copy)]
-pub struct RetrievalConfig {
-    /// Maximum ISL hops to search for a cached copy (the paper sweeps
-    /// 1/3/5/10).
-    pub max_isl_hops: u32,
-    /// RTT of the ground fallback (bent pipe to the cache server near the
-    /// ground station / PoP). Computed by the caller from the network model
-    /// so retrieval stays decoupled from PoP homing.
-    pub ground_fallback_rtt: Latency,
-}
-
-/// Why a resilient fetch degraded to the ground cache.
+/// Why a fetch degraded to the ground cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
     /// No satellite can serve the user at all (the terminal sees sky with
@@ -131,47 +117,8 @@ pub enum DegradeReason {
     GroundCheaper,
 }
 
-/// Retry/escalation policy of a fetch through the deprecated
-/// [`retrieve_resilient`] shim. New code expresses the same policy on a
-/// [`RetrievalRequest`] (`.escalation(..)` + `.ground_fallback(..)`).
-#[derive(Debug, Clone)]
-pub struct ResilientRetrievalConfig {
-    /// Hop budgets to try in order (must be non-empty and ascending —
-    /// the paper's 1 → 3 → 5 → 10 ladder by default). Each rung widens
-    /// the ISL search radius of the previous attempt.
-    pub escalation: Vec<u32>,
-    /// RTT of the ground fallback (see [`RetrievalConfig`]).
-    pub ground_fallback_rtt: Latency,
-}
-
-impl Default for ResilientRetrievalConfig {
-    fn default() -> Self {
-        ResilientRetrievalConfig {
-            escalation: vec![1, 3, 5, 10],
-            ground_fallback_rtt: Latency::from_ms(160.0),
-        }
-    }
-}
-
-/// One resolved resilient fetch (returned by the deprecated
-/// [`retrieve_resilient`] shim). Unlike [`retrieve`], there is always an
-/// outcome: when space cannot serve, the fetch degrades to the ground
-/// cache with the reason recorded, it never returns `None`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// The served fetch.
-    pub outcome: RetrievalOutcome,
-    /// Hop budgets tried (1 = first rung sufficed; 0 only in a dead
-    /// zone, where there was nothing to escalate).
-    pub attempts: u32,
-    /// `Some` when the fetch fell back to the ground cache.
-    pub degraded: Option<DegradeReason>,
-}
-
 /// One content fetch, described policy-first and executed against a
-/// snapshot — the unified replacement for the [`retrieve`] /
-/// [`retrieve_resilient`] / [`retrieve_multishell`] trio and their
-/// overlapping config structs.
+/// snapshot.
 ///
 /// Construct with [`RetrievalRequest::new`] and refine with the builder
 /// methods; the struct is `#[non_exhaustive]` so new policy knobs can be
@@ -179,16 +126,24 @@ pub struct ResilientOutcome {
 ///
 /// * `.graceful(true)` (the default) walks the hop-budget **escalation
 ///   ladder** and always resolves: when space cannot serve, the fetch
-///   degrades to the ground cache with the reason recorded — the old
-///   `retrieve_resilient` semantics.
-/// * `.graceful(false)` performs a single attempt at the **last** rung of
-///   the ladder (so `.hop_budget(n)` means "one attempt at budget n") and
-///   reports a dead zone as `outcome: None` — the old `retrieve`
-///   semantics.
+///   degrades to the ground cache with the reason recorded.
+/// * `.graceful(false)` is a one-rung ladder at the **last** (widest)
+///   rung (so `.hop_budget(n)` means "one attempt at budget n") and
+///   reports a dead zone as `outcome: None`.
 ///
-/// Per-fetch user-link jitter is sampled from the caller's `rng` exactly
-/// as the shims sampled it, so replayed request sequences keep their RNG
-/// streams bit-aligned across the old and new APIs.
+/// Copy selection is **latency-optimal within the hop budget**: among
+/// copies reachable in ≤ budget ISL hops (BFS metric — the budget the
+/// paper sweeps), the one with the lowest space-segment RTT wins.
+/// Hop-nearest and latency-nearest differ on the +Grid because
+/// intra-plane hops are ~3× longer than inter-plane ones. Routing uses the
+/// *current* snapshot's tables, so a fetch detours around links and
+/// satellites that died after the content was placed.
+///
+/// When `rng` is given, user-link jitter is drawn from it at most once
+/// per fetch, at a fixed point so replayed request sequences keep their
+/// RNG streams aligned: a graceful fetch draws as soon as an overhead
+/// satellite exists; a non-graceful fetch draws only when some copy is
+/// within budget.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct RetrievalRequest {
@@ -257,7 +212,7 @@ impl RetrievalRequest {
 
     /// Execute the request against one shell's topology snapshot and the
     /// set of satellites currently caching the object. When `rng` is
-    /// given, user-link jitter is sampled (exactly once per fetch).
+    /// given, user-link jitter is sampled (at most once per fetch).
     pub fn execute(
         &self,
         graph: &IslGraph,
@@ -266,27 +221,12 @@ impl RetrievalRequest {
         rng: Option<&mut DetRng>,
     ) -> FetchResult {
         self.validate();
-        if self.graceful {
-            resilient_fetch(
-                graph,
-                access,
-                self.user,
-                caches,
-                &self.escalation,
-                self.ground_fallback_rtt,
-                rng,
-            )
+        let ladder = if self.graceful {
+            &self.escalation[..]
         } else {
-            plain_fetch(
-                graph,
-                access,
-                self.user,
-                caches,
-                *self.escalation.last().expect("validated non-empty"),
-                self.ground_fallback_rtt,
-                rng,
-            )
-        }
+            self.widest_rung()
+        };
+        self.walk_ladder(graph, access, caches, ladder, self.graceful, rng)
     }
 
     /// Execute the request independently in every shell (ISLs do not
@@ -310,17 +250,15 @@ impl RetrievalRequest {
             caches.len(),
             "one cache set per shell required"
         );
-        let budget = *self.escalation.last().expect("validated non-empty");
         let mut best: Option<RetrievalOutcome> = None;
         let mut any_alive = false;
         for (graph, shell_caches) in shells.iter().zip(caches) {
-            let fetched = plain_fetch(
+            let fetched = self.walk_ladder(
                 graph,
                 access,
-                self.user,
                 shell_caches,
-                budget,
-                self.ground_fallback_rtt,
+                self.widest_rung(),
+                false,
                 rng.as_deref_mut(),
             );
             let Some(out) = fetched.outcome else {
@@ -346,23 +284,173 @@ impl RetrievalRequest {
         }
         if any_alive {
             return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Ground,
-                    rtt: self.ground_fallback_rtt,
-                    serving_sat: None,
-                }),
+                outcome: Some(self.ground()),
                 attempts: 1,
                 degraded: Some(DegradeReason::BudgetExhausted),
             };
         }
         FetchResult {
-            outcome: self.graceful.then_some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: self.ground_fallback_rtt,
-                serving_sat: None,
-            }),
+            outcome: self.graceful.then(|| self.ground()),
             attempts: 0,
             degraded: Some(DegradeReason::DeadZone),
+        }
+    }
+
+    /// The one-rung ladder at the widest budget.
+    fn widest_rung(&self) -> &[u32] {
+        &self.escalation[self.escalation.len() - 1..]
+    }
+
+    /// The bent-pipe ground fallback (its RTT already includes the user
+    /// link, so nothing is added to it).
+    fn ground(&self) -> RetrievalOutcome {
+        RetrievalOutcome {
+            source: RetrievalSource::Ground,
+            rtt: self.ground_fallback_rtt,
+            serving_sat: None,
+        }
+    }
+
+    /// The Figure 6 kernel behind every fetch: find the overhead
+    /// satellite, then walk `ladder` (non-empty, ascending) for the
+    /// latency-optimal alive copy within each rung's BFS hop budget, and
+    /// serve the first one that beats the ground fallback on RTT.
+    ///
+    /// Escalation continues past a rung whose best copy loses to the
+    /// ground: a wider radius admits more copies, and the +Grid's long
+    /// intra-plane hops mean a hop-farther copy can still be
+    /// kilometre-cheaper. An overhead hit is decided on the first rung,
+    /// since no copy is cheaper than a zero-cost one.
+    ///
+    /// `graceful` picks three behaviours that recorded outputs depend on:
+    /// the jitter draw point (eager, as soon as an overhead satellite
+    /// exists, vs. lazy, once some copy is within budget), how a dead zone
+    /// is reported (`Some(Ground)` vs. `None`), and which counters tally
+    /// the fetch (`core.retrieval.resilient.*` vs. `budget_miss` /
+    /// `ground_cheaper`).
+    fn walk_ladder(
+        &self,
+        graph: &IslGraph,
+        access: &AccessModel,
+        caches: &BTreeSet<SatIndex>,
+        ladder: &[u32],
+        graceful: bool,
+        mut rng: Option<&mut DetRng>,
+    ) -> FetchResult {
+        if graceful {
+            RESILIENT_FETCHES.incr();
+        }
+        let Some((overhead, up_slant)) = graph.nearest_alive(self.user) else {
+            if graceful {
+                RESILIENT_DEGRADED.incr();
+                DEGRADED_DEAD_ZONE.incr();
+                RESILIENT_ATTEMPTS.record(0);
+            }
+            return FetchResult {
+                outcome: graceful.then(|| self.ground()),
+                attempts: 0,
+                degraded: Some(DegradeReason::DeadZone),
+            };
+        };
+        let mut sample_user_link = || match rng.as_deref_mut() {
+            Some(r) => access.user_link_rtt_sample(up_slant, r),
+            None => access.user_link_rtt_median(up_slant),
+        };
+        let mut user_link = graceful.then(&mut sample_user_link);
+
+        // (satellite, BFS hop distance, space-segment RTT cost) of every
+        // alive copy within the widest rung, in BTreeSet order.
+        let (copies, ladder) = if caches.contains(&overhead) && graph.is_alive(overhead) {
+            (vec![(overhead, 0, Latency::ZERO)], &ladder[..1])
+        } else {
+            let widest = ladder[ladder.len() - 1];
+            let tables = graph.routing_tables(overhead);
+            let copies: Vec<(SatIndex, u32, Latency)> = caches
+                .iter()
+                .filter_map(|&sat| {
+                    let h = tables.hops[sat.as_usize()];
+                    let (dist_km, route_hops) = tables.km[sat.as_usize()];
+                    (graph.is_alive(sat) && h != u32::MAX && h <= widest && dist_km.is_finite())
+                        .then(|| (sat, h, space_segment_cost(access, dist_km, route_hops)))
+                })
+                .collect();
+            (copies, ladder)
+        };
+
+        let mut attempts = 0u32;
+        let mut any_in_budget = false;
+        for &budget in ladder {
+            attempts += 1;
+            if graceful && attempts > 1 {
+                RESILIENT_RETRIES.incr();
+            }
+            let mut best: Option<(SatIndex, u32, Latency)> = None;
+            for &(sat, h, cost) in &copies {
+                if h <= budget && best.is_none_or(|(_, _, b)| cost < b) {
+                    best = Some((sat, h, cost));
+                }
+            }
+            let Some((serving, bfs_hops, space_cost)) = best else {
+                continue;
+            };
+            any_in_budget = true;
+            let rtt = *user_link.get_or_insert_with(&mut sample_user_link) + space_cost;
+            // A rational client takes whichever source is cheaper: a copy
+            // at the far edge of a generous hop budget — or even the
+            // overhead satellite behind a slow user link — can cost more
+            // than the bent pipe to the ground cache.
+            if rtt <= self.ground_fallback_rtt {
+                // The source reports the BFS hop distance — the "found
+                // within n hops" metric of the paper — even when the
+                // latency-optimal route takes more (shorter) hops.
+                let source = if bfs_hops == 0 {
+                    OVERHEAD_HITS.incr();
+                    RetrievalSource::Overhead
+                } else {
+                    ISL_HITS.incr();
+                    ISL_HOPS.record(u64::from(bfs_hops));
+                    RetrievalSource::Isl { hops: bfs_hops }
+                };
+                if graceful {
+                    RESILIENT_ATTEMPTS.record(u64::from(attempts));
+                }
+                return FetchResult {
+                    outcome: Some(RetrievalOutcome {
+                        source,
+                        rtt,
+                        serving_sat: Some(serving),
+                    }),
+                    attempts,
+                    degraded: None,
+                };
+            }
+        }
+
+        GROUND_FALLBACKS.incr();
+        let (reason, graceful_tally, single_tally) = if any_in_budget {
+            (
+                DegradeReason::GroundCheaper,
+                &DEGRADED_GROUND_CHEAPER,
+                &GROUND_CHEAPER,
+            )
+        } else {
+            (
+                DegradeReason::BudgetExhausted,
+                &DEGRADED_BUDGET,
+                &BUDGET_MISSES,
+            )
+        };
+        if graceful {
+            RESILIENT_DEGRADED.incr();
+            RESILIENT_ATTEMPTS.record(u64::from(attempts));
+            graceful_tally.incr();
+        } else {
+            single_tally.incr();
+        }
+        FetchResult {
+            outcome: Some(self.ground()),
+            attempts,
+            degraded: Some(reason),
         }
     }
 }
@@ -397,361 +485,7 @@ impl FetchResult {
     }
 }
 
-/// Single-attempt fetch at one hop budget — the moved body of the old
-/// `retrieve`, bit-for-bit (copy ordering, cost model, RNG sampling
-/// order, telemetry).
-fn plain_fetch(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    max_isl_hops: u32,
-    ground_fallback_rtt: Latency,
-    mut rng: Option<&mut DetRng>,
-) -> FetchResult {
-    let Some((overhead, up_slant)) = graph.nearest_alive(user) else {
-        return FetchResult {
-            outcome: None,
-            attempts: 0,
-            degraded: Some(DegradeReason::DeadZone),
-        };
-    };
-
-    // Fast path: the overhead satellite itself.
-    let overhead_hit = caches.contains(&overhead) && graph.is_alive(overhead);
-
-    // (satellite, space-segment RTT cost, hop distance per BFS)
-    let best = if overhead_hit {
-        Some((overhead, Latency::ZERO, 0u32))
-    } else {
-        let tables = graph.routing_tables(overhead);
-        let mut best: Option<(SatIndex, Latency, u32)> = None;
-        for &sat in caches {
-            if !graph.is_alive(sat) {
-                continue;
-            }
-            let h = tables.hops[sat.as_usize()];
-            if h == u32::MAX || h > max_isl_hops {
-                continue;
-            }
-            let (dist_km, route_hops) = tables.km[sat.as_usize()];
-            if !dist_km.is_finite() {
-                continue;
-            }
-            let cost = space_segment_cost(access, dist_km, route_hops);
-            if best.is_none_or(|(_, b, _)| cost < b) {
-                best = Some((sat, cost, h));
-            }
-        }
-        best
-    };
-
-    if let Some((serving, space_cost, bfs_hops)) = best {
-        let user_link = match rng.as_mut() {
-            Some(r) => access.user_link_rtt_sample(up_slant, r),
-            None => access.user_link_rtt_median(up_slant),
-        };
-        let rtt = user_link + space_cost;
-        // A rational client takes whichever source is cheaper: a copy at
-        // the far edge of a generous hop budget can cost more than the
-        // bent pipe to the ground cache.
-        if rtt <= ground_fallback_rtt {
-            // The source reports the BFS hop distance — the "found within
-            // n hops" metric of the paper — even when the latency-optimal
-            // route takes more (shorter) hops.
-            let source = if bfs_hops == 0 {
-                OVERHEAD_HITS.incr();
-                RetrievalSource::Overhead
-            } else {
-                ISL_HITS.incr();
-                ISL_HOPS.record(u64::from(bfs_hops));
-                RetrievalSource::Isl { hops: bfs_hops }
-            };
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source,
-                    rtt,
-                    serving_sat: Some(serving),
-                }),
-                attempts: 1,
-                degraded: None,
-            };
-        }
-    }
-
-    // Ground fallback: the caller-provided bent-pipe RTT (already includes
-    // the user link, so no double counting).
-    GROUND_FALLBACKS.incr();
-    let reason = if best.is_some() {
-        GROUND_CHEAPER.incr();
-        DegradeReason::GroundCheaper
-    } else {
-        BUDGET_MISSES.incr();
-        DegradeReason::BudgetExhausted
-    };
-    FetchResult {
-        outcome: Some(RetrievalOutcome {
-            source: RetrievalSource::Ground,
-            rtt: ground_fallback_rtt,
-            serving_sat: None,
-        }),
-        attempts: 1,
-        degraded: Some(reason),
-    }
-}
-
-/// Escalation-ladder fetch with graceful degradation — the moved body of
-/// the old `retrieve_resilient`, bit-for-bit.
-fn resilient_fetch(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    escalation: &[u32],
-    ground_fallback_rtt: Latency,
-    mut rng: Option<&mut DetRng>,
-) -> FetchResult {
-    RESILIENT_FETCHES.incr();
-
-    let Some((overhead, up_slant)) = graph.nearest_alive(user) else {
-        RESILIENT_DEGRADED.incr();
-        DEGRADED_DEAD_ZONE.incr();
-        RESILIENT_ATTEMPTS.record(0);
-        return FetchResult {
-            outcome: Some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: ground_fallback_rtt,
-                serving_sat: None,
-            }),
-            attempts: 0,
-            degraded: Some(DegradeReason::DeadZone),
-        };
-    };
-    let user_link = match rng.as_mut() {
-        Some(r) => access.user_link_rtt_sample(up_slant, r),
-        None => access.user_link_rtt_median(up_slant),
-    };
-
-    if caches.contains(&overhead) && graph.is_alive(overhead) {
-        // Same rationality check as the single-attempt path: even an
-        // overhead hit can lose to the bent pipe when the user link alone
-        // exceeds it.
-        if user_link <= ground_fallback_rtt {
-            OVERHEAD_HITS.incr();
-            RESILIENT_ATTEMPTS.record(1);
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Overhead,
-                    rtt: user_link,
-                    serving_sat: Some(overhead),
-                }),
-                attempts: 1,
-                degraded: None,
-            };
-        }
-        GROUND_FALLBACKS.incr();
-        DEGRADED_GROUND_CHEAPER.incr();
-        RESILIENT_DEGRADED.incr();
-        RESILIENT_ATTEMPTS.record(1);
-        return FetchResult {
-            outcome: Some(RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: ground_fallback_rtt,
-                serving_sat: None,
-            }),
-            attempts: 1,
-            degraded: Some(DegradeReason::GroundCheaper),
-        };
-    }
-
-    // Scan the copy set once (BTreeSet order, the same deterministic
-    // order the single-attempt path uses): each alive copy's BFS hop
-    // distance and space-segment cost over the current — possibly
-    // degraded — graph.
-    let tables = graph.routing_tables(overhead);
-    let mut copies: Vec<(SatIndex, u32, Latency)> = Vec::new();
-    for &sat in caches {
-        if !graph.is_alive(sat) {
-            continue;
-        }
-        let h = tables.hops[sat.as_usize()];
-        if h == u32::MAX {
-            continue;
-        }
-        let (dist_km, route_hops) = tables.km[sat.as_usize()];
-        if !dist_km.is_finite() {
-            continue;
-        }
-        let cost = space_segment_cost(access, dist_km, route_hops);
-        copies.push((sat, h, cost));
-    }
-
-    let mut attempts = 0u32;
-    let mut any_in_budget = false;
-    for &budget in escalation {
-        attempts += 1;
-        if attempts > 1 {
-            RESILIENT_RETRIES.incr();
-        }
-        let mut best: Option<(SatIndex, Latency, u32)> = None;
-        for &(sat, h, cost) in &copies {
-            if h > budget {
-                continue;
-            }
-            if best.is_none_or(|(_, b, _)| cost < b) {
-                best = Some((sat, cost, h));
-            }
-        }
-        let Some((serving, space_cost, bfs_hops)) = best else {
-            continue;
-        };
-        any_in_budget = true;
-        let rtt = user_link + space_cost;
-        if rtt <= ground_fallback_rtt {
-            ISL_HITS.incr();
-            ISL_HOPS.record(u64::from(bfs_hops));
-            RESILIENT_ATTEMPTS.record(u64::from(attempts));
-            return FetchResult {
-                outcome: Some(RetrievalOutcome {
-                    source: RetrievalSource::Isl { hops: bfs_hops },
-                    rtt,
-                    serving_sat: Some(serving),
-                }),
-                attempts,
-                degraded: None,
-            };
-        }
-        // Ground currently wins, but keep escalating: a wider budget can
-        // admit a kilometre-cheaper copy that beats the bent pipe.
-    }
-
-    let reason = if any_in_budget {
-        DEGRADED_GROUND_CHEAPER.incr();
-        DegradeReason::GroundCheaper
-    } else {
-        DEGRADED_BUDGET.incr();
-        DegradeReason::BudgetExhausted
-    };
-    GROUND_FALLBACKS.incr();
-    RESILIENT_DEGRADED.incr();
-    RESILIENT_ATTEMPTS.record(u64::from(attempts));
-    FetchResult {
-        outcome: Some(RetrievalOutcome {
-            source: RetrievalSource::Ground,
-            rtt: ground_fallback_rtt,
-            serving_sat: None,
-        }),
-        attempts,
-        degraded: Some(reason),
-    }
-}
-
-/// Resolve one fetch for a user at `user` against the set of satellites
-/// currently caching the object.
-///
-/// Copy selection is **latency-optimal within the hop budget**: among
-/// copies reachable in ≤ `max_isl_hops` ISL hops (BFS metric — the budget
-/// the paper sweeps), the one with the lowest propagation latency wins.
-/// Hop-nearest and latency-nearest differ on the +Grid because intra-plane
-/// hops are ~3× longer than inter-plane ones; a deployed SpaceCDN routes by
-/// latency.
-///
-/// Returns `None` only when no satellite serves the user at all (dead
-/// constellation). When `rng` is given, user-link jitter is sampled.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful(false) + hop_budget) and execute it, \
-            or fetch through a Scenario session"
-)]
-pub fn retrieve(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    config: &RetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> Option<RetrievalOutcome> {
-    RetrievalRequest::new(user)
-        .hop_budget(config.max_isl_hops)
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(false)
-        .execute(graph, access, caches, rng)
-        .outcome
-}
-
-/// Resolve one fetch with retry and graceful degradation: walk the
-/// config's hop-budget escalation ladder until a cached copy wins, then
-/// fall back to the ground cache with the failure reason recorded in
-/// telemetry.
-///
-/// Within each rung, copy selection is identical to [`retrieve`]
-/// (latency-optimal within the BFS hop budget). Escalation continues past
-/// a rung whose best copy loses to the ground fallback: a wider radius
-/// admits more copies, and the +Grid's long intra-plane hops mean a
-/// hop-farther copy can still be kilometre-cheaper. Routing always uses
-/// the *current* snapshot's tables, so routes computed here detour around
-/// links and satellites that died after the content was placed — the
-/// cache set is the warm-time intent, the graph is the present truth.
-///
-/// The user-link jitter (when `rng` is given) is sampled exactly once per
-/// fetch regardless of how many rungs are tried, so callers replaying a
-/// request sequence under different fault plans keep their RNG streams
-/// aligned.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful by default) and execute it, \
-            or fetch through a Scenario session"
-)]
-pub fn retrieve_resilient(
-    graph: &IslGraph,
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &BTreeSet<SatIndex>,
-    config: &ResilientRetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> ResilientOutcome {
-    let fetched = RetrievalRequest::new(user)
-        .escalation(config.escalation.clone())
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(true)
-        .execute(graph, access, caches, rng);
-    ResilientOutcome {
-        outcome: fetched.outcome.expect("graceful fetch always resolves"),
-        attempts: fetched.attempts,
-        degraded: fetched.degraded,
-    }
-}
-
-/// Multi-shell retrieval: resolve the fetch independently in every shell
-/// (ISLs do not cross shells) and take the cheapest in-space result; fall
-/// back to ground only when every shell misses.
-///
-/// `shells` are per-shell topology snapshots at one instant; `caches[i]`
-/// holds shell *i*'s copies. The per-shell hop budget applies within each
-/// shell.
-#[deprecated(
-    since = "0.5.0",
-    note = "build a RetrievalRequest (graceful(false) + hop_budget) and call \
-            execute_multishell"
-)]
-pub fn retrieve_multishell(
-    shells: &[IslGraph],
-    access: &AccessModel,
-    user: Geodetic,
-    caches: &[BTreeSet<SatIndex>],
-    config: &RetrievalConfig,
-    rng: Option<&mut DetRng>,
-) -> Option<RetrievalOutcome> {
-    RetrievalRequest::new(user)
-        .hop_budget(config.max_isl_hops)
-        .ground_fallback(config.ground_fallback_rtt)
-        .graceful(false)
-        .execute_multishell(shells, access, caches, rng)
-        .outcome
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the suite pins the deprecated shims on purpose
 mod tests {
     use super::*;
     use spacecdn_geo::SimTime;
@@ -765,11 +499,36 @@ mod tests {
         (c, g, AccessModel::default())
     }
 
-    fn cfg(max_hops: u32) -> RetrievalConfig {
-        RetrievalConfig {
-            max_isl_hops: max_hops,
-            ground_fallback_rtt: Latency::from_ms(150.0),
-        }
+    /// Single attempt at `max_hops` with a 150 ms ground fallback.
+    fn single(
+        g: &IslGraph,
+        access: &AccessModel,
+        user: Geodetic,
+        caches: &BTreeSet<SatIndex>,
+        max_hops: u32,
+    ) -> RetrievalOutcome {
+        RetrievalRequest::new(user)
+            .hop_budget(max_hops)
+            .ground_fallback(Latency::from_ms(150.0))
+            .graceful(false)
+            .execute(g, access, caches, None)
+            .outcome
+            .expect("a live fleet always resolves")
+    }
+
+    /// Graceful fetch walking `ladder` with a `ground_ms` fallback.
+    fn graceful(
+        g: &IslGraph,
+        access: &AccessModel,
+        user: Geodetic,
+        caches: &BTreeSet<SatIndex>,
+        ladder: &[u32],
+        ground_ms: f64,
+    ) -> FetchResult {
+        RetrievalRequest::new(user)
+            .escalation(ladder)
+            .ground_fallback(Latency::from_ms(ground_ms))
+            .execute(g, access, caches, None)
     }
 
     #[test]
@@ -778,7 +537,7 @@ mod tests {
         let user = Geodetic::ground(40.0, -3.7);
         let (overhead, _) = g.nearest_alive(user).unwrap();
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(5), None).unwrap();
+        let out = single(&g, &access, user, &caches, 5);
         assert_eq!(out.source, RetrievalSource::Overhead);
         assert_eq!(out.serving_sat, Some(overhead));
         assert!(out.rtt.ms() < 25.0, "got {}", out.rtt);
@@ -803,19 +562,11 @@ mod tests {
             cur
         };
         let caches: BTreeSet<_> = [target].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(5), None).unwrap();
+        let out = single(&g, &access, user, &caches, 5);
         assert_eq!(out.source, RetrievalSource::Isl { hops: 3 });
         assert_eq!(out.serving_sat, Some(target));
 
-        let direct = retrieve(
-            &g,
-            &access,
-            user,
-            &[overhead].into_iter().collect(),
-            &cfg(5),
-            None,
-        )
-        .unwrap();
+        let direct = single(&g, &access, user, &[overhead].into_iter().collect(), 5);
         assert!(out.rtt > direct.rtt);
     }
 
@@ -830,7 +581,7 @@ mod tests {
             c.slot_of(overhead) as i64 + 11,
         );
         let caches: BTreeSet<_> = [far].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(3), None).unwrap();
+        let out = single(&g, &access, user, &caches, 3);
         assert_eq!(out.source, RetrievalSource::Ground);
         assert_eq!(out.rtt, Latency::from_ms(150.0));
         assert_eq!(out.serving_sat, None);
@@ -839,15 +590,13 @@ mod tests {
     #[test]
     fn empty_cache_set_always_ground() {
         let (_, g, access) = setup();
-        let out = retrieve(
+        let out = single(
             &g,
             &access,
             Geodetic::ground(0.0, 0.0),
             &BTreeSet::new(),
-            &cfg(10),
-            None,
-        )
-        .unwrap();
+            10,
+        );
         assert_eq!(out.source, RetrievalSource::Ground);
     }
 
@@ -862,7 +611,7 @@ mod tests {
             c.slot_of(overhead) as i64 + 5,
         );
         let caches: BTreeSet<_> = [far, near].into_iter().collect();
-        let out = retrieve(&g, &access, user, &caches, &cfg(20), None).unwrap();
+        let out = single(&g, &access, user, &caches, 20);
         assert_eq!(out.serving_sat, Some(near));
         assert_eq!(out.source, RetrievalSource::Isl { hops: 1 });
     }
@@ -879,7 +628,7 @@ mod tests {
         // The failed satellite is in the cache set but cannot serve.
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
         let access = AccessModel::default();
-        let out = retrieve(&g, &access, user, &caches, &cfg(10), None).unwrap();
+        let out = single(&g, &access, user, &caches, 10);
         assert_eq!(out.source, RetrievalSource::Ground);
     }
 
@@ -907,7 +656,14 @@ mod tests {
             BTreeSet::new(),
             BTreeSet::new(),
         ];
-        let out = retrieve_multishell(&graphs, &access, user, &caches, &cfg(10), None).unwrap();
+        let req = RetrievalRequest::new(user)
+            .hop_budget(10)
+            .ground_fallback(Latency::from_ms(150.0))
+            .graceful(false);
+        let out = req
+            .execute_multishell(&graphs, &access, &caches, None)
+            .outcome
+            .unwrap();
         assert_ne!(out.source, RetrievalSource::Ground);
         assert_eq!(out.serving_sat, Some(target));
 
@@ -919,7 +675,10 @@ mod tests {
             BTreeSet::new(),
             BTreeSet::new(),
         ];
-        let better = retrieve_multishell(&graphs, &access, user, &caches2, &cfg(10), None).unwrap();
+        let better = req
+            .execute_multishell(&graphs, &access, &caches2, None)
+            .outcome
+            .unwrap();
         assert_eq!(better.source, RetrievalSource::Overhead);
         assert!(better.rtt < out.rtt);
     }
@@ -934,27 +693,18 @@ mod tests {
             .map(|s| IslGraph::build(s, SimTime::EPOCH, &FaultPlan::none()))
             .collect();
         let caches = vec![BTreeSet::new(); 4];
-        let out = retrieve_multishell(
-            &graphs,
-            &AccessModel::default(),
-            Geodetic::ground(0.0, 0.0),
-            &caches,
-            &cfg(5),
-            None,
-        )
-        .unwrap();
+        let out = RetrievalRequest::new(Geodetic::ground(0.0, 0.0))
+            .hop_budget(5)
+            .ground_fallback(Latency::from_ms(150.0))
+            .graceful(false)
+            .execute_multishell(&graphs, &AccessModel::default(), &caches, None)
+            .outcome
+            .unwrap();
         assert_eq!(out.source, RetrievalSource::Ground);
     }
 
-    fn rcfg(ladder: &[u32], ground_ms: f64) -> ResilientRetrievalConfig {
-        ResilientRetrievalConfig {
-            escalation: ladder.to_vec(),
-            ground_fallback_rtt: Latency::from_ms(ground_ms),
-        }
-    }
-
     #[test]
-    fn single_rung_ladder_matches_plain_retrieve() {
+    fn single_rung_ladder_matches_single_attempt() {
         let (c, g, access) = setup();
         let mut rng = DetRng::new(21, "resilient-eq");
         for trial in 0..40 {
@@ -964,23 +714,20 @@ mod tests {
                 .collect();
             let budget = 1 + rng.index(11) as u32;
             let ground = rng.uniform(30.0, 200.0);
-            let plain = retrieve(
-                &g,
-                &access,
-                user,
-                &caches,
-                &RetrievalConfig {
-                    max_isl_hops: budget,
-                    ground_fallback_rtt: Latency::from_ms(ground),
-                },
-                None,
-            )
-            .unwrap();
-            let resilient =
-                retrieve_resilient(&g, &access, user, &caches, &rcfg(&[budget], ground), None);
+            let req = RetrievalRequest::new(user)
+                .hop_budget(budget)
+                .ground_fallback(Latency::from_ms(ground));
+            let plain = req
+                .clone()
+                .graceful(false)
+                .execute(&g, &access, &caches, None)
+                .outcome
+                .unwrap();
+            let ladder = req.execute(&g, &access, &caches, None);
             assert_eq!(
-                resilient.outcome, plain,
-                "trial {trial}: single-rung resilient diverges from retrieve"
+                ladder.outcome,
+                Some(plain),
+                "trial {trial}: single-rung ladder diverges from a single attempt"
             );
         }
     }
@@ -994,16 +741,10 @@ mod tests {
         // rung 5 serves it.
         let target = c.sat_at(c.plane_of(overhead) as i64 + 4, c.slot_of(overhead) as i64);
         let caches: BTreeSet<_> = [target].into_iter().collect();
-        let out = retrieve_resilient(
-            &g,
-            &access,
-            user,
-            &caches,
-            &rcfg(&[1, 3, 5, 10], 200.0),
-            None,
-        );
-        assert_eq!(out.outcome.source, RetrievalSource::Isl { hops: 4 });
-        assert_eq!(out.outcome.serving_sat, Some(target));
+        let out = graceful(&g, &access, user, &caches, &[1, 3, 5, 10], 200.0);
+        let served = out.outcome.as_ref().unwrap();
+        assert_eq!(served.source, RetrievalSource::Isl { hops: 4 });
+        assert_eq!(served.serving_sat, Some(target));
         assert_eq!(out.attempts, 3, "rungs 1 and 3 must be tried and fail");
         assert_eq!(out.degraded, None);
     }
@@ -1011,16 +752,17 @@ mod tests {
     #[test]
     fn exhausted_ladder_degrades_to_ground() {
         let (_, g, access) = setup();
-        let out = retrieve_resilient(
+        let out = graceful(
             &g,
             &access,
             Geodetic::ground(0.0, 0.0),
             &BTreeSet::new(),
-            &rcfg(&[1, 3, 5, 10], 160.0),
-            None,
+            &[1, 3, 5, 10],
+            160.0,
         );
-        assert_eq!(out.outcome.source, RetrievalSource::Ground);
-        assert_eq!(out.outcome.rtt, Latency::from_ms(160.0));
+        let served = out.outcome.as_ref().unwrap();
+        assert_eq!(served.source, RetrievalSource::Ground);
+        assert_eq!(served.rtt, Latency::from_ms(160.0));
         assert_eq!(out.attempts, 4);
         assert_eq!(out.degraded, Some(DegradeReason::BudgetExhausted));
     }
@@ -1033,15 +775,13 @@ mod tests {
             faults.fail_sat(s);
         }
         let g = IslGraph::build(&c, SimTime::EPOCH, &faults);
-        let out = retrieve_resilient(
+        let out = RetrievalRequest::new(Geodetic::ground(10.0, 10.0)).execute(
             &g,
             &AccessModel::default(),
-            Geodetic::ground(10.0, 10.0),
             &[SatIndex(0)].into_iter().collect(),
-            &ResilientRetrievalConfig::default(),
             None,
         );
-        assert_eq!(out.outcome.source, RetrievalSource::Ground);
+        assert_eq!(out.outcome.unwrap().source, RetrievalSource::Ground);
         assert_eq!(out.attempts, 0);
         assert_eq!(out.degraded, Some(DegradeReason::DeadZone));
     }
@@ -1058,9 +798,9 @@ mod tests {
         let copy = c.sat_at(c.plane_of(overhead) as i64 + 2, c.slot_of(overhead) as i64);
         let caches: BTreeSet<_> = [copy].into_iter().collect();
         let access = AccessModel::default();
-        let cfg = rcfg(&[1, 3, 5, 10], 250.0);
-        let before = retrieve_resilient(&g0, &access, user, &caches, &cfg, None);
-        assert_eq!(before.outcome.source, RetrievalSource::Isl { hops: 2 });
+        let before = graceful(&g0, &access, user, &caches, &[1, 3, 5, 10], 250.0);
+        let before = before.outcome.unwrap();
+        assert_eq!(before.source, RetrievalSource::Isl { hops: 2 });
 
         // Kill every link of the satellite between overhead and the copy.
         let between = c.sat_at(c.plane_of(overhead) as i64 + 1, c.slot_of(overhead) as i64);
@@ -1069,17 +809,18 @@ mod tests {
             faults.fail_link(between, e.to);
         }
         let g = IslGraph::build(&c, SimTime::EPOCH, &faults);
-        let after = retrieve_resilient(&g, &access, user, &caches, &cfg, None);
+        let after = graceful(&g, &access, user, &caches, &[1, 3, 5, 10], 250.0);
         // Still served from space — via a longer detour.
-        assert_eq!(after.outcome.serving_sat, Some(copy));
         assert_eq!(after.degraded, None);
+        let after = after.outcome.unwrap();
+        assert_eq!(after.serving_sat, Some(copy));
         let (RetrievalSource::Isl { hops: h0 }, RetrievalSource::Isl { hops: h1 }) =
-            (before.outcome.source, after.outcome.source)
+            (before.source, after.source)
         else {
             panic!("both fetches must be ISL-served");
         };
         assert!(h1 > h0, "detour must cost extra hops ({h1} vs {h0})");
-        assert!(after.outcome.rtt >= before.outcome.rtt);
+        assert!(after.rtt >= before.rtt);
     }
 
     #[test]
@@ -1095,16 +836,19 @@ mod tests {
         // the overhead sat any more, but it can still *source* the object
         // over its ISLs to the new overhead satellite.
         let caches: BTreeSet<_> = [overhead].into_iter().collect();
-        let out = retrieve_resilient(
+        let out = graceful(
             &g,
             &AccessModel::default(),
             user,
             &caches,
-            &rcfg(&[1, 3, 5, 10], 250.0),
-            None,
+            &[1, 3, 5, 10],
+            250.0,
         );
-        assert_eq!(out.outcome.serving_sat, Some(overhead));
-        assert!(matches!(out.outcome.source, RetrievalSource::Isl { .. }));
+        assert_eq!(out.serving_sat(), Some(overhead));
+        assert!(matches!(
+            out.outcome.as_ref().unwrap().source,
+            RetrievalSource::Isl { .. }
+        ));
         assert_eq!(out.degraded, None);
     }
 
@@ -1118,7 +862,7 @@ mod tests {
         for d in 0..6i64 {
             let sat = c.sat_at(c.plane_of(overhead) as i64 + d, c.slot_of(overhead) as i64);
             let caches: BTreeSet<_> = [sat].into_iter().collect();
-            let out = retrieve(&g, &access, user, &caches, &cfg(20), None).unwrap();
+            let out = single(&g, &access, user, &caches, 20);
             assert!(
                 out.rtt.ms() >= last - 1e-9,
                 "rtt must grow with distance: {} after {last}",
@@ -1129,14 +873,10 @@ mod tests {
     }
 
     #[test]
-    fn request_defaults_match_resilient_defaults() {
+    fn request_defaults_are_the_paper_policy() {
         let req = RetrievalRequest::new(Geodetic::ground(0.0, 0.0));
-        let legacy = ResilientRetrievalConfig::default();
-        assert_eq!(req.escalation, legacy.escalation);
-        assert_eq!(
-            req.ground_fallback_rtt.ms().to_bits(),
-            legacy.ground_fallback_rtt.ms().to_bits()
-        );
+        assert_eq!(req.escalation, vec![1, 3, 5, 10]);
+        assert_eq!(req.ground_fallback_rtt.ms().to_bits(), 160.0f64.to_bits());
         assert!(req.graceful);
     }
 

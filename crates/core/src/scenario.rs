@@ -9,11 +9,10 @@
 //! same epoch share one graph) with the schedule lowered to the fault
 //! plan of that instant.
 //!
-//! The scenario path is bit-identical to the deprecated free-function
-//! shims in [`crate::retrieval`]: `Scenario::fetch` executes the same
-//! [`RetrievalRequest`] machinery against the same pooled graphs, which
-//! the equivalence suite (`crates/core/tests/equivalence.rs`) proves on
-//! randomized shells, schedules, and epochs.
+//! `Scenario::fetch` executes the same [`RetrievalRequest`] against the
+//! same pooled graphs as a direct call, which the differential oracle
+//! (`crates/core/tests/oracle.rs`) checks bit for bit on randomized
+//! shells, schedules, and epochs.
 
 use crate::network::LsnNetwork;
 use crate::placement::PlacementSpec;

@@ -1,5 +1,5 @@
-//! Generators shared by the differential oracle and the shim-equivalence
-//! suite: randomized small shells and mixed fault timelines.
+//! Generators shared by the differential oracles: randomized small shells
+//! and mixed fault timelines.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

@@ -15,10 +15,17 @@
 //! randomized constellations × fault schedules × epochs. A last-ulp float
 //! divergence anywhere in the stack fails here before it can silently
 //! skew a campaign artefact.
+//!
+//! Both pipelines draw user-link jitter from paired streams (same seed and
+//! label), and the next draw from each stream must agree afterwards, so
+//! the harness also pins *when* each fetch mode samples jitter. A
+//! `Scenario` session over the same network, schedule and copies must
+//! match a direct `RetrievalRequest::execute` the same way.
 
+use rand::RngCore;
 use spacecdn_core::{
-    DegradeReason, LsnNetwork, ResilientOutcome, ResilientRetrievalConfig, RetrievalConfig,
-    RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    DegradeReason, FetchResult, LsnNetwork, RetrievalOutcome, RetrievalRequest, RetrievalSource,
+    Scenario,
 };
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Ecef, Geodetic, Km, Latency, SimDuration, SimTime};
@@ -211,17 +218,45 @@ fn ref_tables(g: &RefGraph, src: SatIndex) -> (Vec<(f64, u32)>, Vec<u32>) {
     (km, hops)
 }
 
-/// Reference Fig-6 retrieval: overhead hit → latency-optimal copy within
-/// the BFS hop budget → ground fallback, computed entirely from the
-/// reference graph and tables.
+/// What a reference fetch resolves to: the same observables as
+/// `FetchResult`, built by the reference pipeline alone.
+#[derive(Debug)]
+struct RefFetch {
+    outcome: Option<RetrievalOutcome>,
+    attempts: u32,
+    degraded: Option<DegradeReason>,
+}
+
+/// The bent-pipe ground fallback.
+fn ref_ground(ground_fallback_rtt: Latency) -> RetrievalOutcome {
+    RetrievalOutcome {
+        source: RetrievalSource::Ground,
+        rtt: ground_fallback_rtt,
+        serving_sat: None,
+    }
+}
+
+/// Reference Fig-6 retrieval, single attempt: overhead hit →
+/// latency-optimal copy within the BFS hop budget → ground fallback,
+/// computed entirely from the reference graph and tables. User-link jitter
+/// is drawn from `rng` only once some copy is within budget; a dead zone
+/// resolves to no outcome.
 fn ref_retrieve(
     g: &RefGraph,
     access: &AccessModel,
     user: Geodetic,
     caches: &BTreeSet<SatIndex>,
-    config: &RetrievalConfig,
-) -> Option<RetrievalOutcome> {
-    let (overhead, up_slant) = ref_nearest_servable(g, user)?;
+    max_isl_hops: u32,
+    ground_fallback_rtt: Latency,
+    rng: &mut DetRng,
+) -> RefFetch {
+    let Some((overhead, up_slant)) = ref_nearest_servable(g, user) else {
+        return RefFetch {
+            outcome: None,
+            attempts: 0,
+            degraded: Some(DegradeReason::DeadZone),
+        };
+    };
     let overhead_hit = caches.contains(&overhead) && g.alive[overhead.as_usize()];
     let best = if overhead_hit {
         Some((overhead, Latency::ZERO, 0u32))
@@ -233,7 +268,7 @@ fn ref_retrieve(
                 continue;
             }
             let h = hops[sat.as_usize()];
-            if h == u32::MAX || h > config.max_isl_hops {
+            if h == u32::MAX || h > max_isl_hops {
                 continue;
             }
             let (dist_km, route_hops) = km[sat.as_usize()];
@@ -250,67 +285,70 @@ fn ref_retrieve(
     };
 
     if let Some((serving, space_cost, bfs_hops)) = best {
-        let rtt = access.user_link_rtt_median(up_slant) + space_cost;
-        if rtt <= config.ground_fallback_rtt {
+        let rtt = access.user_link_rtt_sample(up_slant, rng) + space_cost;
+        if rtt <= ground_fallback_rtt {
             let source = if bfs_hops == 0 {
                 RetrievalSource::Overhead
             } else {
                 RetrievalSource::Isl { hops: bfs_hops }
             };
-            return Some(RetrievalOutcome {
-                source,
-                rtt,
-                serving_sat: Some(serving),
-            });
+            return RefFetch {
+                outcome: Some(RetrievalOutcome {
+                    source,
+                    rtt,
+                    serving_sat: Some(serving),
+                }),
+                attempts: 1,
+                degraded: None,
+            };
         }
     }
-    Some(RetrievalOutcome {
-        source: RetrievalSource::Ground,
-        rtt: config.ground_fallback_rtt,
-        serving_sat: None,
-    })
+    RefFetch {
+        outcome: Some(ref_ground(ground_fallback_rtt)),
+        attempts: 1,
+        degraded: Some(if best.is_some() {
+            DegradeReason::GroundCheaper
+        } else {
+            DegradeReason::BudgetExhausted
+        }),
+    }
 }
 
 /// Reference resilient retrieval: the escalation ladder replayed over the
-/// reference tables, with the same always-an-outcome contract.
+/// reference tables, with the always-an-outcome contract. User-link
+/// jitter is drawn from `rng` as soon as an overhead satellite exists.
 fn ref_retrieve_resilient(
     g: &RefGraph,
     access: &AccessModel,
     user: Geodetic,
     caches: &BTreeSet<SatIndex>,
-    config: &ResilientRetrievalConfig,
-) -> ResilientOutcome {
+    escalation: &[u32],
+    ground_fallback_rtt: Latency,
+    rng: &mut DetRng,
+) -> RefFetch {
     let Some((overhead, up_slant)) = ref_nearest_servable(g, user) else {
-        return ResilientOutcome {
-            outcome: RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: config.ground_fallback_rtt,
-                serving_sat: None,
-            },
+        return RefFetch {
+            outcome: Some(ref_ground(ground_fallback_rtt)),
             attempts: 0,
             degraded: Some(DegradeReason::DeadZone),
         };
     };
-    let user_link = access.user_link_rtt_median(up_slant);
+    let user_link = access.user_link_rtt_sample(up_slant, rng);
 
     if caches.contains(&overhead) && g.alive[overhead.as_usize()] {
-        if user_link <= config.ground_fallback_rtt {
-            return ResilientOutcome {
-                outcome: RetrievalOutcome {
+        if user_link <= ground_fallback_rtt {
+            return RefFetch {
+                outcome: Some(RetrievalOutcome {
                     source: RetrievalSource::Overhead,
                     rtt: user_link,
                     serving_sat: Some(overhead),
-                },
+                }),
                 attempts: 1,
                 degraded: None,
             };
         }
-        return ResilientOutcome {
-            outcome: RetrievalOutcome {
-                source: RetrievalSource::Ground,
-                rtt: config.ground_fallback_rtt,
-                serving_sat: None,
-            },
+        return RefFetch {
+            outcome: Some(ref_ground(ground_fallback_rtt)),
             attempts: 1,
             degraded: Some(DegradeReason::GroundCheaper),
         };
@@ -337,7 +375,7 @@ fn ref_retrieve_resilient(
 
     let mut attempts = 0u32;
     let mut any_in_budget = false;
-    for &budget in &config.escalation {
+    for &budget in escalation {
         attempts += 1;
         let mut best: Option<(SatIndex, Latency, u32)> = None;
         for &(sat, h, cost) in &copies {
@@ -353,24 +391,20 @@ fn ref_retrieve_resilient(
         };
         any_in_budget = true;
         let rtt = user_link + space_cost;
-        if rtt <= config.ground_fallback_rtt {
-            return ResilientOutcome {
-                outcome: RetrievalOutcome {
+        if rtt <= ground_fallback_rtt {
+            return RefFetch {
+                outcome: Some(RetrievalOutcome {
                     source: RetrievalSource::Isl { hops: bfs_hops },
                     rtt,
                     serving_sat: Some(serving),
-                },
+                }),
                 attempts,
                 degraded: None,
             };
         }
     }
-    ResilientOutcome {
-        outcome: RetrievalOutcome {
-            source: RetrievalSource::Ground,
-            rtt: config.ground_fallback_rtt,
-            serving_sat: None,
-        },
+    RefFetch {
+        outcome: Some(ref_ground(ground_fallback_rtt)),
         attempts,
         degraded: Some(if any_in_budget {
             DegradeReason::GroundCheaper
@@ -398,11 +432,12 @@ struct Coverage {
 }
 
 impl Coverage {
-    fn record(&mut self, r: &ResilientOutcome) {
-        match r.outcome.source {
-            RetrievalSource::Overhead => self.overhead += 1,
-            RetrievalSource::Isl { .. } => self.isl += 1,
-            RetrievalSource::Ground => self.ground += 1,
+    fn record(&mut self, r: &FetchResult) {
+        match r.outcome.as_ref().map(|o| o.source) {
+            Some(RetrievalSource::Overhead) => self.overhead += 1,
+            Some(RetrievalSource::Isl { .. }) => self.isl += 1,
+            Some(RetrievalSource::Ground) => self.ground += 1,
+            None => {}
         }
         match r.degraded {
             Some(DegradeReason::DeadZone) => self.dead_zone += 1,
@@ -416,16 +451,72 @@ impl Coverage {
     }
 }
 
+/// Every observable of one fetch, with the RTT as raw bits so a last-ulp
+/// divergence fails the comparison.
+type Observables = (
+    Option<(RetrievalSource, Option<SatIndex>, u64)>,
+    u32,
+    Option<DegradeReason>,
+);
+
+fn observe(
+    outcome: &Option<RetrievalOutcome>,
+    attempts: u32,
+    degraded: Option<DegradeReason>,
+) -> Observables {
+    (
+        outcome
+            .as_ref()
+            .map(|o| (o.source, o.serving_sat, o.rtt.0.to_bits())),
+        attempts,
+        degraded,
+    )
+}
+
+fn observe_fetch(r: &FetchResult) -> Observables {
+    observe(&r.outcome, r.attempts, r.degraded)
+}
+
+/// Two fresh jitter streams with the same seed and label: whatever
+/// consumes them identically leaves them in the same state.
+fn paired_jitter(label: &str, mode: &str) -> (DetRng, DetRng) {
+    let stream = || DetRng::new(77, &format!("oracle/jitter/{label}/{mode}"));
+    (stream(), stream())
+}
+
+/// After two fetches consumed a paired stream, the next draws must agree:
+/// this pins how many jitter samples each fetch took, including the
+/// fetches whose RTT does not show the sample (ground fallbacks).
+fn assert_same_draws(label: &str, a: &mut DetRng, b: &mut DetRng) {
+    assert_eq!(
+        a.raw().next_u64(),
+        b.raw().next_u64(),
+        "{label}: fetches consumed different numbers of jitter draws"
+    );
+}
+
+/// A network over `shell` with no gateways and default access and fibre
+/// models, as every oracle case uses.
+fn bare_net(shell: ShellConfig) -> LsnNetwork {
+    LsnNetwork::new(
+        Constellation::new(shell),
+        Vec::new(),
+        AccessModel::default(),
+        FiberModel::default(),
+    )
+}
+
 /// Run one fully-randomized case: build both pipelines for the lowered
 /// plan at `t` and compare every observable bit.
 fn check_case(
     label: &str,
-    net: &LsnNetwork,
+    shell: ShellConfig,
     schedule: &FaultSchedule,
     t: SimTime,
     rng: &mut DetRng,
     coverage: &mut Coverage,
 ) {
+    let net = bare_net(shell);
     let c = net.constellation();
     let access = net.access();
     let plan = schedule.plan_at(t);
@@ -492,42 +583,37 @@ fn check_case(
         }
     }
 
-    // 3. Plain retrieval, bit for bit.
+    // 3. Single-attempt retrieval, bit for bit, jitter draws included.
     let budget = rng.index(12) as u32;
     let ground = if rng.chance(0.15) {
         Latency::from_ms(1e9) // effectively no ground shortcut
     } else {
         Latency::from_ms(rng.uniform(40.0, 200.0))
     };
-    let cfg = RetrievalConfig {
-        max_isl_hops: budget,
-        ground_fallback_rtt: ground,
-    };
-    let got = RetrievalRequest::new(user)
+    let single = RetrievalRequest::new(user)
         .hop_budget(budget)
         .ground_fallback(ground)
-        .graceful(false)
-        .execute(graph, access, &caches, None)
-        .outcome;
-    let want = ref_retrieve(&reference, access, user, &caches, &cfg);
-    match (&got, &want) {
-        (None, None) => {}
-        (Some(g), Some(w)) => {
-            assert_eq!(g.source, w.source, "{label}: retrieve source diverges");
-            assert_eq!(
-                g.serving_sat, w.serving_sat,
-                "{label}: serving sat diverges"
-            );
-            assert_eq!(
-                g.rtt.0.to_bits(),
-                w.rtt.0.to_bits(),
-                "{label}: retrieve RTT bits diverge"
-            );
-        }
-        _ => panic!("{label}: retrieve existence diverges: {got:?} vs {want:?}"),
-    }
+        .graceful(false);
+    let (mut got_rng, mut want_rng) = paired_jitter(label, "single");
+    let got = single.execute(graph, access, &caches, Some(&mut got_rng));
+    let want = ref_retrieve(
+        &reference,
+        access,
+        user,
+        &caches,
+        budget,
+        ground,
+        &mut want_rng,
+    );
+    assert_eq!(
+        observe_fetch(&got),
+        observe(&want.outcome, want.attempts, want.degraded),
+        "{label}: single-attempt fetch diverges"
+    );
+    assert_same_draws(&format!("{label}: single"), &mut got_rng, &mut want_rng);
 
-    // 4. Resilient retrieval, bit for bit including attempts and reason.
+    // 4. Graceful escalation, bit for bit including attempts, reason and
+    // jitter draws.
     let ladders: [&[u32]; 5] = [
         &[1, 3, 5, 10],
         &[2, 4],
@@ -535,47 +621,36 @@ fn check_case(
         &[3, 6, 12],
         &[1, 2, 3, 4, 5],
     ];
-    let rcfg = ResilientRetrievalConfig {
-        escalation: ladders[rng.index(ladders.len())].to_vec(),
-        ground_fallback_rtt: ground,
-    };
-    let fetched = RetrievalRequest::new(user)
-        .escalation(rcfg.escalation.clone())
-        .ground_fallback(ground)
-        .execute(graph, access, &caches, None);
-    let got = ResilientOutcome {
-        outcome: fetched.outcome.expect("graceful fetch always resolves"),
-        attempts: fetched.attempts,
-        degraded: fetched.degraded,
-    };
-    let want = ref_retrieve_resilient(&reference, access, user, &caches, &rcfg);
-    assert_eq!(got.attempts, want.attempts, "{label}: attempts diverge");
-    assert_eq!(
-        got.degraded, want.degraded,
-        "{label}: degrade reason diverges"
+    let ladder = ladders[rng.index(ladders.len())];
+    let graceful = RetrievalRequest::new(user)
+        .escalation(ladder)
+        .ground_fallback(ground);
+    let (mut got_rng, mut want_rng) = paired_jitter(label, "graceful");
+    let got = graceful.execute(graph, access, &caches, Some(&mut got_rng));
+    let want = ref_retrieve_resilient(
+        &reference,
+        access,
+        user,
+        &caches,
+        ladder,
+        ground,
+        &mut want_rng,
+    );
+    assert!(
+        got.outcome.is_some(),
+        "{label}: graceful fetch must resolve"
     );
     assert_eq!(
-        got.outcome.source, want.outcome.source,
-        "{label}: resilient source diverges"
+        observe_fetch(&got),
+        observe(&want.outcome, want.attempts, want.degraded),
+        "{label}: graceful fetch diverges"
     );
-    assert_eq!(
-        got.outcome.serving_sat, want.outcome.serving_sat,
-        "{label}: resilient serving sat diverges"
-    );
-    assert_eq!(
-        got.outcome.rtt.0.to_bits(),
-        want.outcome.rtt.0.to_bits(),
-        "{label}: resilient RTT bits diverge"
-    );
+    assert_same_draws(&format!("{label}: graceful"), &mut got_rng, &mut want_rng);
     coverage.record(&got);
 
-    // 5. A single-rung ladder must collapse to plain `retrieve` exactly.
-    let single = ResilientRetrievalConfig {
-        escalation: vec![budget.max(1)],
-        ground_fallback_rtt: ground,
-    };
+    // 5. A single-rung ladder must collapse to a single attempt exactly.
     let collapsed = RetrievalRequest::new(user)
-        .escalation(single.escalation.clone())
+        .escalation(vec![budget.max(1)])
         .ground_fallback(ground)
         .execute(graph, access, &caches, None);
     let plain = RetrievalRequest::new(user)
@@ -596,6 +671,43 @@ fn check_case(
             "{label}: only a dead zone may make a non-graceful fetch miss"
         ),
     }
+
+    // 6. A session over the same network, schedule and copies, moved to
+    // `t`, must fetch exactly what a direct request execution fetches.
+    let mut session = Scenario::builder(bare_net(shell))
+        .schedule(schedule.clone())
+        .copies(caches.clone())
+        .escalation(ladder)
+        .ground_fallback(ground)
+        .build();
+    session.advance_to(t);
+    let (mut direct_rng, mut session_rng) = paired_jitter(label, "session/graceful");
+    let direct = graceful.execute(graph, access, &caches, Some(&mut direct_rng));
+    let via_session = session.fetch_user(user, Some(&mut session_rng));
+    assert_eq!(
+        observe_fetch(&via_session),
+        observe_fetch(&direct),
+        "{label}: session fetch diverges from the direct request"
+    );
+    assert_same_draws(
+        &format!("{label}: session graceful"),
+        &mut session_rng,
+        &mut direct_rng,
+    );
+    let (mut direct_rng, mut session_rng) = paired_jitter(label, "session/single");
+    let direct = single.execute(graph, access, &caches, Some(&mut direct_rng));
+    let session_single = session.request(user).hop_budget(budget).graceful(false);
+    let via_session = session.fetch(&session_single, Some(&mut session_rng));
+    assert_eq!(
+        observe_fetch(&via_session),
+        observe_fetch(&direct),
+        "{label}: session single-attempt fetch diverges from the direct request"
+    );
+    assert_same_draws(
+        &format!("{label}: session single"),
+        &mut session_rng,
+        &mut direct_rng,
+    );
 }
 
 /// The main sweep: ≥500 randomized (shell × schedule × epoch) cases, each
@@ -616,15 +728,9 @@ fn oracle_randomized_cases_match_reference_bit_for_bit() {
             let sat = SatIndex(rng.index(c.len()) as u32);
             schedule.sat_outage(sat, t, Some(SimTime(t.0 + 60_000)));
         }
-        let net = LsnNetwork::new(
-            Constellation::new(shell),
-            Vec::new(),
-            AccessModel::default(),
-            FiberModel::default(),
-        );
         check_case(
             &format!("case {case}"),
-            &net,
+            shell,
             &schedule,
             t,
             &mut rng,
@@ -660,17 +766,11 @@ fn oracle_dead_fleet_degrades_identically() {
     for sat in c.sat_indices() {
         schedule.sat_outage(sat, SimTime::EPOCH, None);
     }
-    let net = LsnNetwork::new(
-        Constellation::new(shell),
-        Vec::new(),
-        AccessModel::default(),
-        FiberModel::default(),
-    );
     let mut coverage = Coverage::default();
     let mut rng = DetRng::new(7, "oracle/dead");
     check_case(
         "dead fleet",
-        &net,
+        shell,
         &schedule,
         SimTime::from_secs(100),
         &mut rng,
@@ -684,13 +784,8 @@ fn oracle_dead_fleet_degrades_identically() {
 /// sweep above carries the breadth.
 #[test]
 fn oracle_shell1_scale_matches_reference() {
-    let net = LsnNetwork::new(
-        Constellation::new(spacecdn_orbit::shell::shells::starlink_shell1()),
-        Vec::new(),
-        AccessModel::default(),
-        FiberModel::default(),
-    );
-    let c = net.constellation();
+    let shell = spacecdn_orbit::shell::shells::starlink_shell1();
+    let c = &Constellation::new(shell);
     let pristine = IslGraph::build(c, SimTime::EPOCH, &FaultPlan::none());
     let mut rng = DetRng::new(42, "oracle/shell1");
     let mut schedule = FaultSchedule::none();
@@ -720,7 +815,7 @@ fn oracle_shell1_scale_matches_reference() {
     for (i, &secs) in [0u64, 157, 1200].iter().enumerate() {
         check_case(
             &format!("shell1 epoch {i}"),
-            &net,
+            shell,
             &schedule,
             SimTime::from_secs(secs),
             &mut rng,

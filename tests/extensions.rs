@@ -1,13 +1,11 @@
 //! Integration tests for the §5-extension subsystems, exercised through the
 //! umbrella crate the way a downstream user would.
 
-use spacecdn_suite::core::costs::{compare, SpaceCdnCostModel, TerrestrialCosts};
 use spacecdn_suite::core::network::LsnNetwork;
-use spacecdn_suite::core::prefetch::{hot_set_overlap, DemandPredictor};
 use spacecdn_suite::core::simulation::{run_workload, WorkloadConfig};
 use spacecdn_suite::core::spacevm::{plan_vm_service, VmServiceConfig};
 use spacecdn_suite::core::wormhole::{find_transits, wormhole_capacity};
-use spacecdn_suite::geo::{DetRng, Geodetic, Km, SimDuration, SimTime};
+use spacecdn_suite::geo::{Geodetic, Km, SimDuration, SimTime};
 use spacecdn_suite::lsn::{churn_report, route_samples, LinkLoad};
 use spacecdn_suite::measure::geoblock::geoblock_survey;
 use spacecdn_suite::measure::streaming::{simulate_session, PlayerConfig, StreamPath};
@@ -31,8 +29,7 @@ fn multishell_fleet_closes_the_polar_gap() {
 
 #[test]
 fn workload_plus_predictor_close_the_loop() {
-    // The dashboard sim serves mostly from space; a predictor trained on
-    // the same demand recovers the hot set it would prefetch next.
+    // The closed-loop dashboard sim serves mostly from space.
     let net = LsnNetwork::starlink();
     let report = run_workload(
         &net,
@@ -43,21 +40,6 @@ fn workload_plus_predictor_close_the_loop() {
         },
     );
     assert!(report.space_hit_ratio() > 0.5);
-
-    let mut predictor = DemandPredictor::new(0.9);
-    let mut rng = DetRng::new(5, "ext-pred");
-    use spacecdn_suite::content::catalog::{Catalog, RegionTag};
-    use spacecdn_suite::content::popularity::RegionalPopularity;
-    let catalog = Catalog::generate(800, &[RegionTag(0)], 0.5, &mut rng);
-    let pop = RegionalPopularity::build(&catalog, 1, 1.0, 6.0, &mut rng);
-    for _ in 0..8000 {
-        predictor.observe(RegionTag(0), pop.sample(RegionTag(0), &mut rng));
-    }
-    let overlap = hot_set_overlap(
-        &predictor.predicted_hot_set(RegionTag(0), 80),
-        pop.hot_set(RegionTag(0), 80),
-    );
-    assert!(overlap > 0.6, "predictor overlap {overlap}");
 }
 
 #[test]
@@ -139,21 +121,6 @@ fn backbone_relief_is_an_order_of_magnitude() {
         bent.total_link_work(),
         space.total_link_work()
     );
-}
-
-#[test]
-fn economics_and_duty_cycle_are_coupled() {
-    // Halving the duty cycle (the Fig 8 thermal fix) doubles cost/GB; the
-    // under-served-market price band tolerates it, the NA/EU band doesn't.
-    let base = SpaceCdnCostModel::default();
-    let halved = SpaceCdnCostModel {
-        duty_cycle: base.duty_cycle / 2.0,
-        ..base
-    };
-    let t = TerrestrialCosts::default();
-    assert!(compare(&base, &t).beats_under_served);
-    assert!(!compare(&base, &t).beats_well_served);
-    assert!((halved.cost_per_gb() / base.cost_per_gb() - 2.0).abs() < 1e-9);
 }
 
 #[test]
