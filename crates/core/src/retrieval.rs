@@ -54,6 +54,10 @@ static DEGRADED_GROUND_CHEAPER: LazyCounter =
 static RESILIENT_ATTEMPTS: LazyHistogram =
     LazyHistogram::stable("core.retrieval.resilient.attempts", Unit::Count);
 
+/// Wall time of each fetch's routing-table lookup (racy, like every
+/// clock reading): a memo hit or a ladder-bounded table build.
+static TABLE_NS: LazyHistogram = LazyHistogram::racy("core.retrieval.table_ns", Unit::Nanos);
+
 /// Full space-segment round-trip cost of fetching over an ISL route:
 /// two-way vacuum propagation along `dist_km` plus per-hop switching.
 /// Selecting on kilometres alone would be wrong — a shorter route through
@@ -359,18 +363,22 @@ impl RetrievalRequest {
         let mut user_link = graceful.then(&mut sample_user_link);
 
         // (satellite, BFS hop distance, space-segment RTT cost) of every
-        // alive copy within the widest rung, in BTreeSet order.
+        // alive copy within the widest rung, in BTreeSet order. No copy
+        // beyond that rung can win one, so the tables need only reach it.
         let (copies, ladder) = if caches.contains(&overhead) && graph.is_alive(overhead) {
             (vec![(overhead, 0, Latency::ZERO)], &ladder[..1])
         } else {
             let widest = ladder[ladder.len() - 1];
-            let tables = graph.routing_tables(overhead);
+            let tables = {
+                let _span = TABLE_NS.timer();
+                graph.routing_tables_within(overhead, widest)
+            };
             let copies: Vec<(SatIndex, u32, Latency)> = caches
                 .iter()
                 .filter_map(|&sat| {
-                    let h = tables.hops[sat.as_usize()];
-                    let (dist_km, route_hops) = tables.km[sat.as_usize()];
-                    (graph.is_alive(sat) && h != u32::MAX && h <= widest && dist_km.is_finite())
+                    let h = tables.hops(sat);
+                    let (dist_km, route_hops) = tables.km(sat);
+                    (graph.is_alive(sat) && h != u32::MAX && dist_km.is_finite())
                         .then(|| (sat, h, space_segment_cost(access, dist_km, route_hops)))
                 })
                 .collect();

@@ -31,7 +31,11 @@
 //!   user-link geometry and routing tables per shell, on every shard. A
 //!   burst resolves each pair's `BatchGeo` once before the shards start
 //!   ([`resolve_overheads`] warms the tables, one task per distinct
-//!   overhead satellite); shards only read it. A shard keeps just a
+//!   overhead satellite); shards only read it. The tables are
+//!   [`RoutingBall`]s out to the ladder's top rung — a holder beyond it
+//!   never wins a rung — memoized in each graph's routing cache, where a
+//!   cached full table or wider ball answers a narrower query and a wider
+//!   query replaces the ball. A shard keeps just a
 //!   `BatchCtx` per source it serves — the memo generation minted on
 //!   first touch and a request count — and thousands of requests reuse it
 //!   (`core.traffic.batch.*` telemetry tracks the amortization).
@@ -67,7 +71,7 @@ use spacecdn_des::Percentiles;
 use spacecdn_engine::{par_map, par_map_indices};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency, SimDuration, SimTime};
-use spacecdn_lsn::{AccessModel, IslGraph, SourceTables};
+use spacecdn_lsn::{AccessModel, IslGraph, RoutingBall};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, LocalHistogram, Unit};
 use std::collections::{HashMap, VecDeque};
@@ -108,6 +112,11 @@ static BATCH_REQUESTS: LazyHistogram =
 /// deterministic and slots are visited in slot order).
 static CACHE_OCCUPANCY: LazyHistogram =
     LazyHistogram::stable("core.traffic.cache.occupancy_bytes", Unit::Bytes);
+
+/// Wall time of each burst's [`resolve_overheads`] call — the overhead
+/// search and the ladder-bounded table fan-out (racy: a clock reading).
+static TABLE_WARM_NS: LazyHistogram =
+    LazyHistogram::racy("core.traffic.table_warm_ns", Unit::Nanos);
 
 /// Ground-hierarchy sizing for the tiered fallback (placement spec
 /// `tiers`): a handful of metro edges under one regional, the classic §2
@@ -456,11 +465,12 @@ const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Per-shell retrieval geometry of one (epoch, source) batch: the
 /// overhead satellite (as a global slot), its user-link propagation
-/// round trip, and the routing tables rooted at it.
+/// round trip, and the routing tables rooted at it, out to the ladder's
+/// top rung.
 struct ShellGeo {
     overhead_slot: u32,
     user_prop: Latency,
-    tables: Arc<SourceTables>,
+    tables: RoutingBall,
     /// Cooperative-lookup targets: the overhead satellite's live +Grid
     /// neighbors as (global slot, full probe RTT = user link + two-way
     /// edge propagation, no switching charge). Empty unless the placement
@@ -594,7 +604,7 @@ impl BatchGeo {
                 Some(ShellGeo {
                     overhead_slot: slot,
                     user_prop,
-                    tables: Arc::clone(&o.tables),
+                    tables: o.tables.clone(),
                     neighbors,
                 })
             })
@@ -866,9 +876,9 @@ impl ShardWorld<'_> {
                         if g == sc.overhead_slot {
                             *cached = (gen, sc.user_prop, 0);
                         } else {
-                            let local = (g - self.shell_offsets[shell]) as usize;
-                            let h = sc.tables.hops[local];
-                            let (dist_km, route_hops) = sc.tables.km[local];
+                            let local = SatIndex(g - self.shell_offsets[shell]);
+                            let h = sc.tables.hops(local);
+                            let (dist_km, route_hops) = sc.tables.km(local);
                             if h != u32::MAX && dist_km.is_finite() {
                                 let cost = space_segment_cost(self.access, dist_km, route_hops);
                                 *cached = (gen, sc.user_prop + cost, h);
@@ -1051,12 +1061,15 @@ pub struct Overhead {
     pub sat: SatIndex,
     /// Slant range from the ground point to it.
     pub slant: Km,
-    /// Routing tables from it, shared with the graph's routing cache.
-    pub tables: Arc<SourceTables>,
+    /// Routing tables from it out to the requested radius, shared with
+    /// the graph's routing cache.
+    pub tables: RoutingBall,
 }
 
 /// The [`Overhead`] of every ground point in `users` on every graph in
-/// `graphs`, as `[graph][user]` (`None` where no satellite is servable).
+/// `graphs`, as `[graph][user]` (`None` where no satellite is servable),
+/// with tables exact out to `radius` hops
+/// ([`IslGraph::routing_tables_within`]; `u32::MAX` builds full tables).
 ///
 /// One [`IslGraph::nearest_alive`] pass per graph, then one [`par_map`]
 /// task per *distinct* (graph, overhead satellite) pair, in graph-major
@@ -1065,7 +1078,11 @@ pub struct Overhead {
 /// one task per graph left them waiting on the largest graph. Tables come
 /// from (and stay in) each graph's routing cache, so they are bitwise the
 /// tables an on-demand lookup returns.
-pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Option<Overhead>>> {
+pub fn resolve_overheads(
+    graphs: &[&IslGraph],
+    users: &[Geodetic],
+    radius: u32,
+) -> Vec<Vec<Option<Overhead>>> {
     let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
         users.iter().map(|&user| g.nearest_alive(user)).collect()
     });
@@ -1080,7 +1097,9 @@ pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Op
             sats.into_iter().map(move |sat| (gi, sat))
         })
         .collect();
-    let tables = par_map(&tasks, |_, &(gi, sat)| graphs[gi].routing_tables(sat));
+    let tables = par_map(&tasks, |_, &(gi, sat)| {
+        graphs[gi].routing_tables_within(sat, radius)
+    });
     nearest
         .into_iter()
         .enumerate()
@@ -1094,7 +1113,7 @@ pub fn resolve_overheads(graphs: &[&IslGraph], users: &[Geodetic]) -> Vec<Vec<Op
                     Some(Overhead {
                         sat,
                         slant,
-                        tables: Arc::clone(&tables[task]),
+                        tables: tables[task].clone(),
                     })
                 })
                 .collect()
@@ -1205,9 +1224,22 @@ fn run_shards(
     // The burst's (epoch, source) geometry, resolved once for every
     // shard: the shards only read it, so no two of them repeat a
     // nearest-satellite search or race to build the same table.
+    // A holder beyond the ladder's top rung never wins a rung, and the
+    // cooperative rung only takes the overhead satellite or a one-hop
+    // neighbor, so the tables need reach no further.
     let positions: Vec<Geodetic> = sources.iter().map(|s| s.position).collect();
     let all_graphs: Vec<&IslGraph> = graphs.iter().flatten().map(|g| &**g).collect();
-    let overheads = resolve_overheads(&all_graphs, &positions);
+    let radius = cfg
+        .escalation
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0)
+        .max(u32::from(coop));
+    let overheads = {
+        let _span = TABLE_WARM_NS.timer();
+        resolve_overheads(&all_graphs, &positions, radius)
+    };
     let geos: Vec<Vec<BatchGeo>> = graphs
         .iter()
         .zip(overheads.chunks(shells))
@@ -1791,21 +1823,32 @@ mod tests {
 
     #[test]
     fn resolve_overheads_matches_on_demand_lookups() {
-        use spacecdn_lsn::FaultPlan;
+        use spacecdn_lsn::{FaultPlan, SourceTables};
         // Madrid twice: duplicate users share one overhead task.
         let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
         users.push(users[0]);
         let check = |graphs: &[&IslGraph]| {
-            let resolved = resolve_overheads(graphs, &users);
+            let resolved = resolve_overheads(graphs, &users, 10);
+            // Full tables for the same users: a cached full table then
+            // answers the ball lookups above it.
+            let full = resolve_overheads(graphs, &users, u32::MAX);
             assert_eq!(resolved.len(), graphs.len());
-            for (graph, row) in graphs.iter().zip(&resolved) {
+            for ((graph, row), full_row) in graphs.iter().zip(&resolved).zip(&full) {
                 assert_eq!(row.len(), users.len());
-                for (&user, got) in users.iter().zip(row) {
+                for ((&user, got), got_full) in users.iter().zip(row).zip(full_row) {
                     match (graph.nearest_alive(user), got) {
                         (Some((sat, slant)), Some(o)) => {
                             assert_eq!(o.sat, sat);
                             assert_eq!(o.slant.0.to_bits(), slant.0.to_bits());
-                            assert_eq!(*o.tables, SourceTables::compute(graph, sat));
+                            let want = RoutingBall::compute(graph, sat, 10);
+                            let full = SourceTables::compute(graph, sat);
+                            let o_full = got_full.as_ref().expect("same overhead");
+                            for s in (0..graph.len() as u32).map(SatIndex) {
+                                assert_eq!(o.tables.hops(s), want.hops(s));
+                                assert_eq!(o.tables.km(s), want.km(s));
+                                assert_eq!(o_full.tables.hops(s), full.hops[s.as_usize()]);
+                                assert_eq!(o_full.tables.km(s), full.km[s.as_usize()]);
+                            }
                         }
                         (None, None) => {}
                         (want, got) => panic!(
@@ -1815,7 +1858,7 @@ mod tests {
                     }
                 }
                 if let (Some(first), Some(dup)) = (&row[0], &row[users.len() - 1]) {
-                    assert!(Arc::ptr_eq(&first.tables, &dup.tables));
+                    assert!(RoutingBall::ptr_eq(&first.tables, &dup.tables));
                 }
             }
             resolved

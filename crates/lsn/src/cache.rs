@@ -9,6 +9,14 @@
 //! `RwLock` so concurrent experiment tasks share a single computation per
 //! source satellite.
 //!
+//! Callers that only look within a hop budget (the Figure 6 ladder tops
+//! out at 10 ISL hops) ask for a [`RoutingBall`] instead: tables exact
+//! out to a BFS radius, built by the [`ball_tables`] kernel for a
+//! fraction of the full pair's cost. Balls are memoized beside the full
+//! tables under one reuse rule — a cached full table answers any radius,
+//! a cached ball answers any radius up to its own, and a wider query
+//! replaces the ball, so each satellite holds at most one ball entry.
+//!
 //! The cache is owned by (and shares the lifetime of) one [`IslGraph`];
 //! rebuilding the snapshot for the next epoch starts from an empty cache,
 //! which is what keeps entries trivially consistent — there is no
@@ -19,7 +27,7 @@
 //! the lock is held only for a `HashMap` probe or insert — the uncontended
 //! fast path is a compare-exchange either way.
 
-use crate::routing::{dijkstra_distances, hop_distances, source_tables_many};
+use crate::routing::{ball_tables, dijkstra_distances, hop_distances, source_tables_many};
 use crate::topology::IslGraph;
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
@@ -62,10 +70,79 @@ impl SourceTables {
     }
 }
 
-/// Per-snapshot memo of [`SourceTables`] keyed by source satellite.
+/// Routing tables from one source satellite, exact within a BFS radius:
+/// for every satellite at most `radius` hops away, the same entries
+/// [`SourceTables`] holds; every other satellite reads as unreachable.
+///
+/// A distinct type from [`SourceTables`] so that no full-table consumer
+/// can be handed a truncated table. A ball may be backed by a full table
+/// or by a wider ball (see [`RoutingCache::ball_for`]); the accessors
+/// mask by `radius`, so every backing reads identically.
+#[derive(Debug, Clone)]
+pub struct RoutingBall {
+    radius: u32,
+    /// Exact for every satellite within `radius` hops (and possibly
+    /// beyond, when a wider ball or the full tables back this one).
+    tables: Arc<SourceTables>,
+}
+
+impl RoutingBall {
+    /// Compute the ball directly (the uncached path). A ball holding the
+    /// source's whole component is the full tables, and reads as such.
+    pub fn compute(graph: &IslGraph, src: SatIndex, radius: u32) -> Self {
+        let ((km, hops), whole) = ball_tables(graph, src, radius);
+        RoutingBall {
+            radius: if whole { u32::MAX } else { radius },
+            tables: Arc::new(SourceTables { km, hops }),
+        }
+    }
+
+    /// The full tables, read as a ball that covers every reachable
+    /// satellite.
+    pub fn full(tables: Arc<SourceTables>) -> Self {
+        RoutingBall {
+            radius: u32::MAX,
+            tables,
+        }
+    }
+
+    /// BFS hop level of `sat`, as [`SourceTables::hops`] holds it, or
+    /// `u32::MAX` outside the ball.
+    #[inline]
+    pub fn hops(&self, sat: SatIndex) -> u32 {
+        let h = self.tables.hops[sat.as_usize()];
+        if h <= self.radius {
+            h
+        } else {
+            u32::MAX
+        }
+    }
+
+    /// `(kilometres, route hop count)` of the cheapest path to `sat`, as
+    /// [`SourceTables::km`] holds it, or `(f64::INFINITY, u32::MAX)`
+    /// outside the ball.
+    #[inline]
+    pub fn km(&self, sat: SatIndex) -> (f64, u32) {
+        if self.tables.hops[sat.as_usize()] <= self.radius {
+            self.tables.km[sat.as_usize()]
+        } else {
+            (f64::INFINITY, u32::MAX)
+        }
+    }
+
+    /// True when both balls read the same memoized tables.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.tables, &b.tables)
+    }
+}
+
+/// Per-snapshot memo of [`SourceTables`] and [`RoutingBall`]s keyed by
+/// source satellite.
 #[derive(Default)]
 pub struct RoutingCache {
     tables: RwLock<HashMap<u32, Arc<SourceTables>>>,
+    /// One ball per source: `(radius, tables exact within it)`.
+    balls: RwLock<HashMap<u32, (u32, Arc<SourceTables>)>>,
     /// Hop tables inherited from the previous epoch's cache by
     /// [`IslGraph::apply_delta`] when the step changed edge *lengths* but
     /// not the adjacency structure. BFS levels depend only on structure,
@@ -127,9 +204,58 @@ impl RoutingCache {
             return Arc::clone(hit);
         }
         CACHE_MISS.incr();
-        let computed = Arc::new(self.compute_with_seed(graph, src));
+        self.memoize(src, Arc::new(self.compute_with_seed(graph, src)))
+    }
+
+    /// Insert full tables for `src` unless a racing task got there first;
+    /// either copy is identical.
+    fn memoize(&self, src: SatIndex, tables: Arc<SourceTables>) -> Arc<SourceTables> {
         let mut writer = self.tables.write().expect("cache lock poisoned");
-        Arc::clone(writer.entry(src.0).or_insert(computed))
+        Arc::clone(writer.entry(src.0).or_insert(tables))
+    }
+
+    /// The [`RoutingBall`] of `radius` around `src`, served from the full
+    /// tables or a ball at least as wide when either is cached, and
+    /// otherwise computed and memoized — replacing a narrower ball, so
+    /// each source keeps one ball entry. Racing inserts keep the wider
+    /// ball; either copy reads identically within `radius`.
+    ///
+    /// A ball that holds the source's whole component (every satellite of
+    /// a small shell) *is* the full tables, so it is memoized as them: it
+    /// then carries across delta steps and seeds the next snapshot's hop
+    /// tables like any full table. A carried hop seed shows that case up
+    /// front, and then only the Dijkstra half is computed.
+    pub fn ball_for(&self, graph: &IslGraph, src: SatIndex, radius: u32) -> RoutingBall {
+        let view = |tables| RoutingBall { radius, tables };
+        if let Some(full) = self.tables.read().expect("cache lock poisoned").get(&src.0) {
+            CACHE_HIT.incr();
+            return view(Arc::clone(full));
+        }
+        if let Some((r, ball)) = self.balls.read().expect("cache lock poisoned").get(&src.0) {
+            if *r >= radius {
+                CACHE_HIT.incr();
+                return view(Arc::clone(ball));
+            }
+        }
+        CACHE_MISS.incr();
+        if let Some(seed) = self.hop_seeds.get(&src.0) {
+            if seed.hops.iter().all(|&h| h <= radius || h == u32::MAX) {
+                return view(self.memoize(src, Arc::new(self.compute_with_seed(graph, src))));
+            }
+        }
+        let ball = RoutingBall::compute(graph, src, radius);
+        if ball.radius == u32::MAX {
+            return view(self.memoize(src, ball.tables));
+        }
+        let computed = ball.tables;
+        let mut writer = self.balls.write().expect("cache lock poisoned");
+        let entry = writer
+            .entry(src.0)
+            .or_insert_with(|| (radius, Arc::clone(&computed)));
+        if entry.0 < radius {
+            *entry = (radius, computed);
+        }
+        view(Arc::clone(&entry.1))
     }
 
     /// [`SourceTables::compute`], except the BFS half is cloned from a
@@ -363,6 +489,43 @@ mod tests {
         // Re-warming is a no-op.
         cache.warm(&g, &sources);
         assert_eq!(cache.cached_sources(), 3);
+    }
+
+    #[test]
+    fn ball_lookups_follow_the_reuse_rule() {
+        let g = graph();
+        let cache = RoutingCache::new();
+        let src = SatIndex(300);
+        // A cached ball answers any radius up to its own.
+        let five = cache.ball_for(&g, src, 5);
+        let three = cache.ball_for(&g, src, 3);
+        assert!(RoutingBall::ptr_eq(&five, &three));
+        // A wider query replaces it, and then answers the narrower ones.
+        let ten = cache.ball_for(&g, src, 10);
+        assert!(!RoutingBall::ptr_eq(&five, &ten));
+        assert!(RoutingBall::ptr_eq(&ten, &cache.ball_for(&g, src, 5)));
+        assert_eq!(cache.balls.read().unwrap().len(), 1);
+        // A cached full table answers any radius.
+        let full = cache.tables_for(&g, src);
+        let twelve = cache.ball_for(&g, src, 12);
+        assert!(RoutingBall::ptr_eq(&twelve, &RoutingBall::full(full)));
+        let direct = RoutingBall::compute(&g, src, 12);
+        for i in 0..g.len() as u32 {
+            assert_eq!(twelve.hops(SatIndex(i)), direct.hops(SatIndex(i)));
+            assert_eq!(twelve.km(SatIndex(i)), direct.km(SatIndex(i)));
+        }
+        // A ball holding the whole 64-satellite test shell is its full
+        // tables, memoized as such.
+        let small = Constellation::new(shells::test_shell());
+        let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
+        let cache = RoutingCache::new();
+        cache.ball_for(&small, SatIndex(7), 10);
+        assert_eq!(cache.cached_sources(), 1);
+        assert!(cache.balls.read().unwrap().is_empty());
+        assert_eq!(
+            *cache.tables_for(&small, SatIndex(7)),
+            SourceTables::compute(&small, SatIndex(7))
+        );
     }
 
     #[test]

@@ -36,13 +36,13 @@ pub mod topology;
 
 pub use access::AccessModel;
 pub use bufferbloat::BufferbloatModel;
-pub use cache::{set_routing_cache_override, RoutingCache, SourceTables};
+pub use cache::{set_routing_cache_override, RoutingBall, RoutingCache, SourceTables};
 pub use dynamics::{churn_report, route_samples, ChurnReport};
 pub use fault::{FaultEvent, FaultPlan, FaultPlanDelta, FaultSchedule};
 pub use load::LinkLoad;
 pub use path::{spacecdn_fetch_rtt, starlink_rtt_to_pop, StarlinkPath};
 pub use routing::{
-    bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into, hop_distances,
+    ball_tables, bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into, hop_distances,
     hop_distances_into, hop_distances_many, repair_dijkstra_table, source_tables_many, IslPath,
     RepairOutcome,
 };

@@ -278,11 +278,14 @@ pub fn dijkstra(graph: &IslGraph, src: SatIndex, dst: SatIndex) -> Option<IslPat
 }
 
 /// The [`dijkstra_distances`] kernel against caller scratch and output.
+/// `stop` sees each satellite as it settles (its entry is then final)
+/// and ends the walk by returning true; the full kernel never stops.
 fn dijkstra_distances_with(
     s: &mut Scratch,
     graph: &IslGraph,
     src: SatIndex,
     out: &mut Vec<(f64, u32)>,
+    mut stop: impl FnMut(usize) -> bool,
 ) {
     let n = graph.len();
     out.clear();
@@ -301,6 +304,9 @@ fn dijkstra_distances_with(
         if cost > out[sat].0 {
             continue;
         }
+        if stop(sat) {
+            break;
+        }
         let hops = out[sat].1;
         let (lo, hi) = (offsets[sat] as usize, offsets[sat + 1] as usize);
         // Zipped slice iteration: one bounds check per row, not per edge.
@@ -317,16 +323,25 @@ fn dijkstra_distances_with(
 
 /// The [`hop_distances`] kernel: level-synchronous BFS swapping two
 /// wavefront buffers instead of driving a deque of (node, depth) pairs.
-/// The output array doubles as the visited set.
-fn hop_distances_with(s: &mut Scratch, graph: &IslGraph, src: SatIndex, out: &mut Vec<u32>) {
+/// The output array doubles as the visited set. The walk stops after
+/// level `max_level`; returns how many satellites it reached, and whether
+/// it ran out of satellites first (then `out` is the full BFS table).
+fn hop_distances_with(
+    s: &mut Scratch,
+    graph: &IslGraph,
+    src: SatIndex,
+    max_level: u32,
+    out: &mut Vec<u32>,
+) -> (usize, bool) {
     let n = graph.len();
     out.clear();
     out.resize(n, u32::MAX);
     if !graph.is_alive(src) {
-        return;
+        return (0, true);
     }
     BFS_RUNS.incr();
     out[src.as_usize()] = 0;
+    let mut reached = 1;
     let (offsets, nbrs, _) = graph.csr();
     // Disjoint borrows of the two wavefront buffers so the expansion loop
     // iterates one while pushing the other without per-index checks.
@@ -339,7 +354,7 @@ fn hop_distances_with(s: &mut Scratch, graph: &IslGraph, src: SatIndex, out: &mu
     next_front.clear();
     frontier.push(src.0);
     let mut level = 0u32;
-    while !frontier.is_empty() {
+    while level < max_level && !frontier.is_empty() {
         level += 1;
         for &satu in frontier.iter() {
             let sat = satu as usize;
@@ -349,12 +364,67 @@ fn hop_distances_with(s: &mut Scratch, graph: &IslGraph, src: SatIndex, out: &mu
                 if *slot == u32::MAX {
                     *slot = level;
                     next_front.push(nb);
+                    reached += 1;
                 }
             }
         }
         std::mem::swap(frontier, next_front);
         next_front.clear();
     }
+    (reached, frontier.is_empty())
+}
+
+/// The [`ball_tables`] kernel against caller scratch and outputs: the
+/// BFS out to level `radius`, then the full Dijkstra — over the whole
+/// graph, since a km-shortest path to a member may leave the ball — step
+/// for step until the last member settles. Settled entries are final, so
+/// every member's bits match a full run. Returns whether the ball holds
+/// the source's whole component.
+fn ball_tables_with(
+    s: &mut Scratch,
+    graph: &IslGraph,
+    src: SatIndex,
+    radius: u32,
+    km: &mut Vec<(f64, u32)>,
+    hops: &mut Vec<u32>,
+) -> bool {
+    let (members, whole) = hop_distances_with(s, graph, src, radius, hops);
+    let mut unsettled = members;
+    dijkstra_distances_with(s, graph, src, km, |sat| {
+        if hops[sat] != u32::MAX {
+            unsettled -= 1;
+        }
+        unsettled == 0
+    });
+    // Tentative distances the walk left outside the ball read as
+    // unreachable, like every other non-member.
+    if members < km.len() {
+        for (entry, &h) in km.iter_mut().zip(hops.iter()) {
+            if h == u32::MAX {
+                *entry = (f64::INFINITY, u32::MAX);
+            }
+        }
+    }
+    whole
+}
+
+/// Routing tables from `src` exact out to `radius` BFS hops: the
+/// ([`dijkstra_distances`], [`hop_distances`]) pair restricted to the
+/// *ball* of satellites within `radius` hops. Every member's entries are
+/// bit-equal to the full tables'; every non-member reads as unreachable
+/// (`(f64::INFINITY, u32::MAX)` and `u32::MAX`). A radius at or above
+/// the source's eccentricity returns exactly the full tables; the flag
+/// is true when the BFS ran out of satellites before level `radius`,
+/// which proves that case.
+///
+/// The BFS stops at level `radius` and the Dijkstra once every member has
+/// settled, so a ball costs a fraction of the full pair on a large
+/// shell; one that covers the whole graph costs the same.
+pub fn ball_tables(graph: &IslGraph, src: SatIndex, radius: u32) -> (RawSourceTables, bool) {
+    let mut km = Vec::new();
+    let mut hops = Vec::new();
+    let whole = with_scratch(|s| ball_tables_with(s, graph, src, radius, &mut km, &mut hops));
+    ((km, hops), whole)
 }
 
 /// Single-source shortest paths: for every satellite, the (kilometres,
@@ -371,7 +441,7 @@ pub fn dijkstra_distances(graph: &IslGraph, src: SatIndex) -> Vec<(f64, u32)> {
 /// [`dijkstra_distances`] writing into a caller-owned buffer (cleared and
 /// resized), so sweeps over many sources can recycle one allocation.
 pub fn dijkstra_distances_into(graph: &IslGraph, src: SatIndex, out: &mut Vec<(f64, u32)>) {
-    with_scratch(|s| dijkstra_distances_with(s, graph, src, out));
+    with_scratch(|s| dijkstra_distances_with(s, graph, src, out, |_| false));
 }
 
 /// Hop distances (BFS levels) from `src` to every satellite; `u32::MAX`
@@ -385,7 +455,9 @@ pub fn hop_distances(graph: &IslGraph, src: SatIndex) -> Vec<u32> {
 /// [`hop_distances`] writing into a caller-owned buffer (cleared and
 /// resized), so sweeps over many sources can recycle one allocation.
 pub fn hop_distances_into(graph: &IslGraph, src: SatIndex, out: &mut Vec<u32>) {
-    with_scratch(|s| hop_distances_with(s, graph, src, out));
+    with_scratch(|s| {
+        hop_distances_with(s, graph, src, u32::MAX, out);
+    });
 }
 
 /// Batched [`hop_distances`] over many sources: one scratch borrow and one
@@ -397,7 +469,7 @@ pub fn hop_distances_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<Vec<u32
             .iter()
             .map(|&src| {
                 let mut out = Vec::new();
-                hop_distances_with(s, graph, src, &mut out);
+                hop_distances_with(s, graph, src, u32::MAX, &mut out);
                 out
             })
             .collect()
@@ -419,8 +491,8 @@ pub fn source_tables_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<RawSour
             .map(|&src| {
                 let mut km = Vec::new();
                 let mut hops = Vec::new();
-                dijkstra_distances_with(s, graph, src, &mut km);
-                hop_distances_with(s, graph, src, &mut hops);
+                dijkstra_distances_with(s, graph, src, &mut km, |_| false);
+                hop_distances_with(s, graph, src, u32::MAX, &mut hops);
                 (km, hops)
             })
             .collect()

@@ -17,7 +17,7 @@
 //! chasing; the [`IslEdge`] view survives as a cheap iterator
 //! ([`Neighbors`]) so call sites keep their old shape.
 
-use crate::cache::{routing_cache_enabled, RoutingCache, SourceTables};
+use crate::cache::{routing_cache_enabled, RoutingBall, RoutingCache, SourceTables};
 use crate::fault::FaultPlan;
 use crate::routing::{hop_distances, repair_dijkstra_table};
 use crate::spatial::SpatialIndex;
@@ -719,6 +719,25 @@ impl IslGraph {
             self.cache.tables_for(self, src)
         } else {
             Arc::new(SourceTables::compute(self, src))
+        }
+    }
+
+    /// Routing tables from `src` exact out to `radius` BFS hops (see
+    /// [`RoutingBall`]): what a caller that only looks within a hop budget
+    /// needs, for a fraction of [`Self::routing_tables`]' cost on a large
+    /// shell. Memoized beside the full tables: a cached full table answers
+    /// any radius, a cached ball any radius up to its own, and a wider
+    /// query replaces the ball. A radius of at least the satellite count
+    /// covers every reachable satellite, so it is served by (and memoized
+    /// as) the full tables, as is any ball that turns out to hold the
+    /// source's whole component.
+    pub fn routing_tables_within(&self, src: SatIndex, radius: u32) -> RoutingBall {
+        if radius as usize >= self.len() {
+            RoutingBall::full(self.routing_tables(src))
+        } else if routing_cache_enabled() {
+            self.cache.ball_for(self, src, radius)
+        } else {
+            RoutingBall::compute(self, src, radius)
         }
     }
 

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use spacecdn_geo::{DetRng, Geodetic, SimDuration, SimTime};
+use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::{
-    bfs_nearest, dijkstra, dijkstra_distances, hop_distances, FaultEvent, FaultPlan, FaultSchedule,
-    IslEdge, IslGraph, SourceTables,
+    ball_tables, bfs_nearest, dijkstra, dijkstra_distances, hop_distances, FaultEvent, FaultPlan,
+    FaultSchedule, IslEdge, IslGraph, RoutingBall, SourceTables,
 };
 use spacecdn_orbit::shell::ShellConfig;
 use spacecdn_orbit::{Constellation, SatIndex};
@@ -215,6 +216,39 @@ fn random_faults_with_gsl(constellation: &Constellation, seed: u64, frac: f64) -
         faults.fail_gsl(SatIndex(rng.index(constellation.len()) as u32));
     }
     faults
+}
+
+/// Shells up to 24 × 22, large enough that a 12-hop ball can stop short
+/// of the whole grid.
+fn arb_wide_shell() -> impl Strategy<Value = ShellConfig> {
+    (3u32..25, 3u32..23, 0u32..3).prop_map(|(planes, sats, f)| ShellConfig {
+        altitude_km: 550.0,
+        inclination_deg: 53.0,
+        plane_count: planes,
+        sats_per_plane: sats,
+        phase_factor: f.min(planes - 1),
+    })
+}
+
+/// Assert `ball` reads exactly `full`'s entries within `radius` hops and
+/// unreachable beyond, to the bit.
+fn assert_ball_matches(ball: &RoutingBall, full: &SourceTables, radius: u32, n: usize) {
+    for i in 0..n {
+        let s = SatIndex(i as u32);
+        let (km, route) = ball.km(s);
+        if full.hops[i] <= radius {
+            assert_eq!(ball.hops(s), full.hops[i], "hops at {i}");
+            assert_eq!(km.to_bits(), full.km[i].0.to_bits(), "km bits at {i}");
+            assert_eq!(route, full.km[i].1, "route hops at {i}");
+        } else {
+            assert_eq!(ball.hops(s), u32::MAX, "non-member hops at {i}");
+            assert_eq!(
+                (km, route),
+                (f64::INFINITY, u32::MAX),
+                "non-member km at {i}"
+            );
+        }
+    }
 }
 
 /// Assert two graphs are identical in every observable, to the bit:
@@ -521,6 +555,70 @@ proptest! {
                         src, dst, got.map(|p| p.sats), want.map(|w| w.0)
                     ),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ball_tables_match_full_tables_within_radius(
+        shell in arb_wide_shell(),
+        seed in 0u64..1000,
+        frac in 0.0f64..0.35,
+        radius in 0u32..13,
+        narrow in 0u32..13,
+    ) {
+        // The ball kernel on faulted graphs (dead satellites, failed links,
+        // failed GSLs): every member bit-equal to the full kernels, every
+        // non-member unreachable, and the full tables exactly once the
+        // radius reaches the source's eccentricity.
+        let c = Constellation::new(shell);
+        let faults = random_faults_with_gsl(&c, seed, frac);
+        let t = SimTime::from_secs(431);
+        let g = IslGraph::build(&c, t, &faults);
+        let n = g.len();
+        let narrow = narrow.min(radius);
+        for src in [SatIndex(0), SatIndex(n as u32 / 2), SatIndex(n as u32 - 1)] {
+            let full = SourceTables::compute(&g, src);
+            let ((km, hops), whole) = ball_tables(&g, src, radius);
+            for i in 0..n {
+                if full.hops[i] <= radius {
+                    prop_assert_eq!(hops[i], full.hops[i], "hops at {}", i);
+                    prop_assert_eq!(km[i].0.to_bits(), full.km[i].0.to_bits(), "km at {}", i);
+                    prop_assert_eq!(km[i].1, full.km[i].1, "route hops at {}", i);
+                } else {
+                    prop_assert_eq!(hops[i], u32::MAX, "non-member hops at {}", i);
+                    prop_assert_eq!(km[i], (f64::INFINITY, u32::MAX), "non-member km at {}", i);
+                }
+            }
+            let eccentricity = full.hops.iter().filter(|&&h| h != u32::MAX).max().copied();
+            // The flag claims the full tables only when the BFS ran dry
+            // inside the radius.
+            prop_assert_eq!(whole, eccentricity.is_none_or(|e| e < radius));
+            if eccentricity.is_none_or(|e| radius >= e) {
+                prop_assert_eq!(&hops, &full.hops);
+                let bits = |t: &[(f64, u32)]| -> Vec<(u64, u32)> {
+                    t.iter().map(|&(k, h)| (k.to_bits(), h)).collect()
+                };
+                prop_assert_eq!(bits(&km), bits(&full.km));
+            }
+
+            // Memoized lookups: a narrower query is served from the
+            // cached wider ball, and from a cached full table on a graph
+            // that has one; both read the fresh ball's entries.
+            let wide = g.routing_tables_within(src, radius);
+            let narrowed = g.routing_tables_within(src, narrow);
+            assert_ball_matches(&wide, &full, radius, n);
+            assert_ball_matches(&narrowed, &full, narrow, n);
+            let from_full = IslGraph::build(&c, t, &faults);
+            from_full.routing_tables(src);
+            let over_full = from_full.routing_tables_within(src, narrow);
+            assert_ball_matches(&over_full, &full, narrow, n);
+            if routing_cache_enabled() {
+                prop_assert!(RoutingBall::ptr_eq(&wide, &narrowed));
+                prop_assert!(RoutingBall::ptr_eq(
+                    &over_full,
+                    &RoutingBall::full(from_full.routing_tables(src))
+                ));
             }
         }
     }

@@ -143,16 +143,18 @@ pub fn covered_traffic_sources_from(
         .iter()
         .filter(|city| covered.contains(&city.cc))
         .collect();
-    // Every city resolves its overhead satellite's routing tables on
-    // every snapshot: build them into the routing cache up front, one
-    // task per distinct (snapshot, satellite). These are the pooled
-    // graphs the traffic engine's shell 0 freezes at the same instants,
-    // so its bursts find the tables warm. Without the cache there is
-    // nothing to keep them in.
+    // Every city's fallback RTT below routes from its overhead satellite
+    // through `starlink_rtt_to_pop`, which reads that satellite's full
+    // routing tables on every snapshot: build them into the routing cache
+    // up front, one task per distinct (snapshot, satellite), so the loop
+    // below finds them warm. These are also the pooled graphs the traffic
+    // engine's shell 0 freezes at the same instants, and a cached full
+    // table answers the engine's ladder-bounded lookups there too. Without
+    // the cache there is nothing to keep them in.
     if routing_cache_enabled() {
         let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
         let graphs: Vec<_> = snapshots.iter().map(|snap| snap.graph()).collect();
-        resolve_overheads(&graphs, &positions);
+        resolve_overheads(&graphs, &positions, u32::MAX);
     }
 
     // The PoP leg (home PoP, then anycast to the nearest CDN site) is

@@ -133,6 +133,12 @@ fn scripted_session_replays_byte_identically_at_every_thread_count() {
     let daemon = start_daemon("replay");
     let mut c = daemon.client();
     let live_report = run_scripted_session(&mut c, "demo");
+    // The session's fetches and bursts timed their routing-table
+    // lookups; both layer timers are readable through the metrics op.
+    let metrics = c.ok("{\"op\":\"metrics\"}");
+    for name in ["core.retrieval.table_ns", "core.traffic.table_warm_ns"] {
+        assert!(metrics.contains(name), "metrics op lacks {name}");
+    }
     let journal = daemon.journal("demo");
     assert!(journal.is_file(), "journal written at {journal:?}");
 

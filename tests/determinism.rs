@@ -122,6 +122,47 @@ fn fig7_sweep_identical_with_and_without_metrics() {
 }
 
 #[test]
+fn table_timers_observe_without_perturbing() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap();
+    use spacecdn_suite::telemetry::{reset, set_metrics_override, snapshot};
+    // The routing-table layer timers (the traffic engine's per-burst
+    // table fan-out, each fetch's table lookup) are racy observers:
+    // outputs and Stable metrics are identical with telemetry off and on,
+    // and only the run with telemetry on records samples.
+    let run = |enabled: bool| {
+        set_metrics_override(Some(enabled));
+        clear_graph_pool();
+        reset();
+        let outputs = (traffic_fingerprint(), fig7_fingerprint());
+        let report = snapshot();
+        let samples = |name: &str| {
+            report
+                .histograms
+                .iter()
+                .find(|h| h.name == name)
+                .map_or(0, |h| h.count)
+        };
+        let timed = (
+            samples("core.traffic.table_warm_ns"),
+            samples("core.retrieval.table_ns"),
+        );
+        (outputs, report.stable_fingerprint(), timed)
+    };
+    let off = run(false);
+    let on = run(true);
+    set_metrics_override(None);
+    clear_graph_pool();
+    assert_eq!(off.0, on.0, "telemetry perturbs traffic or Fig-7 output");
+    assert_eq!(off.1, on.1, "telemetry perturbs Stable metrics");
+    assert_eq!(off.2, (0, 0), "timers recorded with telemetry off");
+    assert!(
+        on.2 .0 >= 1 && on.2 .1 >= 1,
+        "table timers recorded nothing: {:?}",
+        on.2
+    );
+}
+
+#[test]
 fn stable_metrics_identical_at_any_thread_count() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     // Metrics tagged `Determinism::Stable` count deterministic campaign
