@@ -342,6 +342,33 @@ fn traffic_outage_fingerprint() -> String {
     report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
 }
 
+/// [`traffic_fingerprint`] with the tiered ground fallback on: every
+/// ground-served request walks the per-shard edge → regional → origin
+/// `CacheHierarchy`, so the `ge`/`gr`/`go` split and the tier surcharges
+/// in the latency ladder pin the hierarchy's hit/miss decisions. A thin
+/// per-plane placement keeps most requests on the ground path.
+fn traffic_tiers_fingerprint() -> String {
+    use spacecdn_suite::prelude::{
+        run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, PlacementSpec, PolicyKind,
+        TrafficConfig,
+    };
+    let mut scenarios = starlink_shell_scenarios(&[0, 1], &FaultSchedule::none());
+    let cfg = TrafficConfig {
+        requests: 4_000,
+        streams: 5,
+        epochs: 2,
+        catalog_size: 600,
+        cache_bytes_per_sat: 64 << 20,
+        policy: PolicyKind::default(),
+        placement: Some(
+            PlacementSpec::parse("perplane-1:budget-200:cap-4:tiers").expect("valid spec"),
+        ),
+        ..TrafficConfig::default()
+    };
+    let sources = fingerprint_sources(cfg.epochs);
+    report_fingerprint(&mut run_traffic_multishell(&mut scenarios, &sources, &cfg))
+}
+
 /// Exact outputs of the three traffic fingerprints, recorded before the
 /// engine began sharing each burst's (epoch, source) geometry across
 /// shards. Any change to how geometry, routing tables or memo validity
@@ -371,12 +398,25 @@ const GOLDEN_OUTAGE: &str = "req=6000;oh=402;isl=4479;origin=1119;dead=0;ins=111
      q0.75=Some(4636774997614063844);q0.9=Some(4639129828656676864);\
      q1=Some(4639129828656676864);";
 
+/// Exact output of [`traffic_tiers_fingerprint`]: the first pin with a
+/// non-zero ground-tier split. Any change to the hierarchy's caches (edge
+/// and regional LRU, pull-through installs) must reproduce it bit for bit.
+const GOLDEN_TIERS: &str = "req=4000;oh=668;isl=1101;origin=2231;dead=0;ins=2231;ev=1900;ttl=0;inv=0;pin=590;\
+     nb=0;ge=1032;gr=660;go=539;digest=0xd27eea0e64e844cb;served=3057568692;\
+     ob=3751653973;hops=[0, 15, 199, 169, 67, 35, 97, 72, 123, 96, 228];\
+     shells=[ShellTraffic { overhead_hits: 0, isl_hits: 204, inserts: 0 }, ShellTraffic { overhead_hits: 668, isl_hits: 897, inserts: 2231 }];\
+     q0=Some(4620298956592580703);q0.1=Some(4624460188158597466);\
+     q0.25=Some(4630987507917809870);q0.5=Some(4639129828656676864);\
+     q0.75=Some(4640009437958897664);q0.9=Some(4643176031446892544);\
+     q1=Some(4643176031446892544);";
+
 #[test]
 fn traffic_fingerprints_match_recorded_goldens() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     assert_eq!(traffic_fingerprint(), GOLDEN_TRAFFIC);
     assert_eq!(traffic_placement_fingerprint(), GOLDEN_PLACEMENT);
     assert_eq!(traffic_outage_fingerprint(), GOLDEN_OUTAGE);
+    assert_eq!(traffic_tiers_fingerprint(), GOLDEN_TIERS);
 }
 
 #[test]
