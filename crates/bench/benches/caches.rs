@@ -1,17 +1,17 @@
 //! Micro-benchmarks of the cache policies under Zipf-shaped churn.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use spacecdn_content::cache::{Cache, FifoCache, LfuCache, LruCache};
 use spacecdn_content::catalog::ContentId;
+use spacecdn_content::policy::{PolicyFleet, PolicyKind};
 use spacecdn_content::popularity::ZipfSampler;
-use spacecdn_geo::DetRng;
+use spacecdn_geo::{DetRng, SimDuration};
 
-fn churn(cache: &mut dyn Cache, ops: &[(ContentId, u64, bool)]) {
+fn churn(cache: &mut PolicyFleet, ops: &[(ContentId, u64, bool)]) {
     for &(id, size, is_insert) in ops {
         if is_insert {
-            cache.insert(id, size);
+            cache.insert(0, id, size);
         } else {
-            cache.get(id);
+            cache.get(0, id);
         }
     }
 }
@@ -27,29 +27,18 @@ fn bench_caches(c: &mut Criterion) {
         })
         .collect();
 
-    c.bench_function("lru_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = LruCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
-
-    c.bench_function("lfu_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = LfuCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
-
-    c.bench_function("fifo_10k_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache = FifoCache::new(200_000_000);
-            churn(black_box(&mut cache), &ops);
-            cache.len()
-        })
-    });
+    // One satellite slot per policy; the clock never advances, so the TTL
+    // never fires and only eviction/admission is measured.
+    for kind in PolicyKind::ALL {
+        c.bench_function(&format!("{}_10k_ops_zipf", kind.name()), |b| {
+            b.iter(|| {
+                let mut cache =
+                    PolicyFleet::new(kind, 1, 200_000_000, SimDuration::from_secs(3600));
+                churn(black_box(&mut cache), &ops);
+                cache.len()
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_caches);

@@ -1,31 +1,27 @@
 //! Flat structure-of-arrays cache fleet: every satellite's LRU+TTL cache
 //! in parallel vectors.
 //!
-//! The traffic engine used to keep a `HashMap<SatIndex, TtlCache<LruCache>>`
-//! per shard — thousands of small heap-allocated maps and B-trees, two
-//! hash lookups and a `BTreeMap` rebalance per touch. [`FleetCache`] is
-//! the same semantics laid out flat, mirroring what the CSR rebuild did
-//! for routing: per-satellite list heads and byte counters are plain
-//! vectors indexed by satellite slot, entries live in one shared arena of
-//! parallel vectors (content id, size, expiry, intrusive LRU links), and
-//! a single `(satellite, content) → entry` hash index serves the whole
-//! fleet. One allocation-free doubly linked list per satellite replaces
-//! one `BTreeMap` per satellite.
+//! [`FleetCache`] is the workspace's one LRU. Per-satellite list heads
+//! and byte counters are plain vectors indexed by satellite slot, entries
+//! live in one shared arena of parallel vectors (content id, size, expiry,
+//! intrusive LRU links), and a single `(satellite, content) → entry` hash
+//! index serves the whole fleet. One allocation-free doubly linked list
+//! per satellite replaces a map and an ordered tree per cache, mirroring
+//! what the CSR rebuild did for routing.
 //!
-//! Behaviour is pinned to the wrapped policy it replaces
-//! (`TtlCache<LruCache>`): the same hit/miss/evict/expire decisions and
-//! the same counter movements on every operation, proven by the
-//! differential proptests below. One deliberate divergence: the legacy
-//! stack leaks an expiry record when LRU pressure evicts an entry (the
-//! wrapper never learns about inner evictions), so a later touch of that
-//! id can count a spurious `expired_purges`. The fleet stores the expiry
-//! *in* the entry, so eviction drops it atomically and the counter only
-//! ever counts real TTL lapses. The tight-capacity proptest encodes
-//! exactly this relaxation (`fleet ≤ legacy`); with no evictions the
-//! counters are equal.
+//! The expiry lives *in* the entry, so an LRU eviction drops it atomically
+//! and `expirations` only ever counts real TTL lapses. Every hit/miss,
+//! eviction and expiry decision, victim order and counter movement is
+//! pinned against a naive `VecDeque` reference in `tests/policy_oracle.rs`.
+//!
+//! Besides the traffic engine's satellite fleets, the terrestrial cache
+//! hierarchy ([`crate::hierarchy`]) and the content-bubble satellites
+//! (`spacecdn_core::bubbles`) run on `FleetCache` as plain LRU: they never
+//! advance the clock, so with [`FleetCache::UNEXPIRING_TTL`] no entry ever
+//! expires.
 
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
+use crate::policy::CacheStats;
 use spacecdn_geo::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -101,6 +97,11 @@ pub struct FleetCache {
 }
 
 impl FleetCache {
+    /// A TTL that outlasts any simulated run (100 years), for callers that
+    /// never advance the clock and want plain LRU. Deliberately not
+    /// `u64::MAX`-sized: an entry's expiry is `now + ttl`, a plain add.
+    pub const UNEXPIRING_TTL: SimDuration = SimDuration(100 * 365 * 86_400 * 1_000_000_000);
+
     /// A fleet of `sats` empty caches, each with `capacity_bytes` and
     /// entries expiring `ttl` after insertion.
     ///
@@ -272,7 +273,7 @@ impl FleetCache {
         self.now >= self.e_expiry[e as usize]
     }
 
-    // -- cache operations (TtlCache<LruCache>-equivalent) ------------------
+    // -- cache operations --------------------------------------------------
 
     /// Freshness check that reclaims: an entry found expired is purged and
     /// counted; a live entry is left untouched (no recency bump, no
@@ -356,8 +357,8 @@ impl FleetCache {
             }
         }
         if size > self.sat_capacity {
-            // Mirrors LruCache: the oversize check precedes the refresh
-            // path, so an oversized re-insert rejects without refreshing.
+            // The oversize check precedes the refresh path, so an
+            // oversized re-insert rejects without refreshing.
             return false;
         }
         if let Some(e) = self.slot(sat, content) {
@@ -421,9 +422,6 @@ impl FleetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{Cache, LruCache};
-    use crate::ttl::TtlCache;
-    use proptest::prelude::*;
 
     fn id(n: u64) -> ContentId {
         ContentId(n)
@@ -535,171 +533,17 @@ mod tests {
     }
 
     #[test]
+    fn unexpiring_ttl_outlasts_any_run() {
+        let mut f = FleetCache::new(1, 1_000, FleetCache::UNEXPIRING_TTL);
+        f.insert(0, id(1), 100);
+        f.set_now(SimTime::from_secs(50 * 365 * 86_400));
+        assert!(f.get(0, id(1)));
+        assert_eq!(f.expired_purges(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn zero_ttl_panics() {
         let _ = FleetCache::new(1, 100, SimDuration::ZERO);
-    }
-
-    // -- differential proptests vs. the legacy map-of-wrappers stack -------
-
-    /// One randomized operation against both stacks.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Get(u32, u64),
-        Insert(u32, u64, u64),
-        IsFresh(u32, u64),
-        Remove(u32, u64),
-        Clear(u32),
-        Advance(u64),
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        let sat = 0..4u32;
-        let obj = 0..12u64;
-        prop_oneof![
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::Get(s, o)),
-            (sat.clone(), obj.clone(), 1..400u64).prop_map(|(s, o, z)| Op::Insert(s, o, z)),
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::IsFresh(s, o)),
-            (sat.clone(), obj.clone()).prop_map(|(s, o)| Op::Remove(s, o)),
-            sat.prop_map(Op::Clear),
-            (1..40u64).prop_map(Op::Advance),
-        ]
-    }
-
-    /// Drive the same op sequence through [`FleetCache`] and the legacy
-    /// `HashMap<sat, TtlCache<LruCache>>`, asserting identical returns and
-    /// identical state after every step. With ample capacity (no
-    /// evictions) every counter matches exactly, `expired_purges`
-    /// included; under eviction pressure the legacy stack's stale expiry
-    /// records make its purge counter an overcount, so there the fleet
-    /// must only never exceed it.
-    fn run_differential(ops: Vec<Op>, cap: u64, exact_purges: bool) {
-        let ttl = SimDuration::from_secs(60);
-        let mut f = FleetCache::new(4, cap, ttl);
-        let mut legacy: HashMap<u32, TtlCache<LruCache>> = HashMap::new();
-        let mut now = SimTime::EPOCH;
-        fn reference(
-            legacy: &mut HashMap<u32, TtlCache<LruCache>>,
-            s: u32,
-            cap: u64,
-            ttl: SimDuration,
-        ) -> &mut TtlCache<LruCache> {
-            legacy
-                .entry(s)
-                .or_insert_with(|| TtlCache::new(LruCache::new(cap), ttl))
-        }
-
-        for op in ops {
-            match op {
-                Op::Advance(secs) => {
-                    now += SimDuration::from_secs(secs);
-                    f.set_now(now);
-                    for c in legacy.values_mut() {
-                        c.set_now(now);
-                    }
-                }
-                Op::Get(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(f.get(s, ContentId(o)), r.get(ContentId(o)), "get {s}/{o}");
-                }
-                Op::Insert(s, o, z) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.insert(s, ContentId(o), z),
-                        r.insert(ContentId(o), z),
-                        "insert {s}/{o}/{z}"
-                    );
-                }
-                Op::IsFresh(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.is_fresh(s, ContentId(o)),
-                        r.is_fresh(ContentId(o)),
-                        "is_fresh {s}/{o}"
-                    );
-                }
-                Op::Remove(s, o) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    assert_eq!(
-                        f.remove(s, ContentId(o)),
-                        r.remove(ContentId(o)),
-                        "remove {s}/{o}"
-                    );
-                }
-                Op::Clear(s) => {
-                    let r = reference(&mut legacy, s, cap, ttl);
-                    r.set_now(now);
-                    let n = f.clear_sat(s, &mut Vec::new());
-                    assert_eq!(n as usize, r.len(), "clear {s}");
-                    r.clear();
-                }
-            }
-            // Per-satellite state must agree after every operation.
-            for s in 0..4u32 {
-                let (len, used) = legacy.get(&s).map_or((0, 0), |c| (c.len(), c.used_bytes()));
-                assert_eq!(f.len_of(s), len, "len of sat {s}");
-                assert_eq!(f.used_bytes_of(s), used, "bytes of sat {s}");
-                for o in 0..12u64 {
-                    assert_eq!(
-                        f.contains(s, ContentId(o)),
-                        legacy.get(&s).is_some_and(|c| c.contains(ContentId(o))),
-                        "contains {s}/{o}"
-                    );
-                }
-            }
-            // Aggregate counters must agree — every field of the unified
-            // taxonomy, not just hits/misses/evictions. The legacy stack's
-            // `stats()` reclassifies only purges that really dropped an
-            // entry, so its expirations match the fleet's even when stale
-            // expiry records inflate its `expired_purges` attempt counter.
-            let mut want = CacheStats::default();
-            for c in legacy.values() {
-                let s = c.stats();
-                want.hits += s.hits;
-                want.misses += s.misses;
-                want.gets += s.gets;
-                want.inserts += s.inserts;
-                want.evictions += s.evictions;
-                want.expirations += s.expirations;
-                want.invalidations += s.invalidations;
-            }
-            assert_eq!(f.stats(), want, "aggregate stats");
-            // Books balance on the fleet side after every step.
-            assert_eq!(
-                f.stats().departures(),
-                f.stats().inserts - f.len() as u64,
-                "taxonomy reconciliation"
-            );
-            let legacy_purges: u64 = legacy.values().map(|c| c.expired_purges()).sum();
-            if exact_purges {
-                assert_eq!(f.expired_purges(), legacy_purges, "purge counter");
-            } else {
-                assert!(
-                    f.expired_purges() <= legacy_purges,
-                    "fleet over-counts purges: {} > {legacy_purges}",
-                    f.expired_purges()
-                );
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn differential_ample_capacity(ops in prop::collection::vec(op_strategy(), 1..120)) {
-            // No evictions possible: full trace equality, purges included.
-            run_differential(ops, 1 << 30, true);
-        }
-
-        #[test]
-        fn differential_tight_capacity(ops in prop::collection::vec(op_strategy(), 1..120)) {
-            // ~2 median objects per satellite: heavy eviction churn.
-            run_differential(ops, 500, false);
-        }
     }
 }

@@ -14,20 +14,63 @@
 //!   `Scenario`, and the serve protocol's `cache` mutation op;
 //! - [`PolicyFleet`] — an enum over the four concrete fleets. The traffic
 //!   hot path dispatches through a `match` (static dispatch per arm, no
-//!   vtable), which keeps the PR 6 throughput contract; the trait object
-//!   path exists for generic callers.
+//!   vtable), which keeps the PR 6 throughput contract.
 //!
 //! All four implementations are flat-SoA intrusive structures over the
 //! shared `EntryArena` and are pinned decision-for-decision
 //! to naive map/VecDeque references in `tests/policy_oracle.rs`.
 
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
 use crate::fleet::FleetCache;
 use crate::s3fifo::S3FifoFleet;
 use crate::sieve::SieveFleet;
 use crate::tinylfu::TinyLfuFleet;
 use spacecdn_geo::{SimDuration, SimTime};
+
+/// Hit/miss counters shared by all policies.
+///
+/// The departure taxonomy is unified across every policy: an entry leaves
+/// a cache for exactly one of three reasons — **evicted** under capacity pressure (including
+/// admission-filter rejections that drop a window candidate), **expired**
+/// when its TTL lapsed before any probe touched it, or **invalidated** by an
+/// explicit `remove`/`clear`. For policies that track all counters the books
+/// balance: `hits + misses == gets` and
+/// `evictions + expirations + invalidations == inserts - len`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found the object.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Total lookups (incremented independently of hit/miss so the
+    /// `hits + misses == gets` reconciliation is a real check).
+    pub gets: u64,
+    /// New entries admitted (refreshes of an existing entry excluded).
+    pub inserts: u64,
+    /// Objects evicted to make room.
+    pub evictions: u64,
+    /// Objects dropped because their TTL lapsed (any purge path).
+    pub expirations: u64,
+    /// Objects dropped by explicit `remove` or `clear`.
+    pub invalidations: u64,
+}
+
+impl CacheStats {
+    /// Hit ratio in `[0, 1]` (0 when no lookups happened).
+    pub fn hit_ratio(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// All departures: `evictions + expirations + invalidations`.
+    pub fn departures(&self) -> u64 {
+        self.evictions + self.expirations + self.invalidations
+    }
+}
 
 /// Which eviction/admission policy a cache fleet runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -242,8 +285,7 @@ impl CachePolicy for FleetCache {
 ///
 /// The traffic engine stores one of these per shard; every hot-path call
 /// goes through a four-arm `match` that monomorphizes per policy instead of
-/// an indirect call. `PolicyFleet` itself also implements [`CachePolicy`]
-/// for generic callers.
+/// an indirect call.
 pub enum PolicyFleet {
     /// LRU+TTL baseline.
     LruTtl(FleetCache),
@@ -410,69 +452,6 @@ impl PolicyFleet {
     }
 }
 
-impl CachePolicy for PolicyFleet {
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-    fn set_now(&mut self, now: SimTime) {
-        PolicyFleet::set_now(self, now)
-    }
-    fn now(&self) -> SimTime {
-        PolicyFleet::now(self)
-    }
-    fn sat_count(&self) -> usize {
-        PolicyFleet::sat_count(self)
-    }
-    fn capacity_bytes_per_sat(&self) -> u64 {
-        PolicyFleet::capacity_bytes_per_sat(self)
-    }
-    fn ttl(&self) -> SimDuration {
-        PolicyFleet::ttl(self)
-    }
-    fn len_of(&self, sat: u32) -> usize {
-        PolicyFleet::len_of(self, sat)
-    }
-    fn used_bytes_of(&self, sat: u32) -> u64 {
-        PolicyFleet::used_bytes_of(self, sat)
-    }
-    fn len(&self) -> usize {
-        PolicyFleet::len(self)
-    }
-    fn stats(&self) -> CacheStats {
-        PolicyFleet::stats(self)
-    }
-    fn get(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::get(self, sat, content)
-    }
-    fn contains(&self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::contains(self, sat, content)
-    }
-    fn is_fresh(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::is_fresh(self, sat, content)
-    }
-    fn expire_if_due(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::expire_if_due(self, sat, content)
-    }
-    fn insert_collect(
-        &mut self,
-        sat: u32,
-        content: ContentId,
-        size: u64,
-        evicted: &mut Vec<ContentId>,
-    ) -> bool {
-        PolicyFleet::insert_collect(self, sat, content, size, evicted)
-    }
-    fn remove(&mut self, sat: u32, content: ContentId) -> bool {
-        PolicyFleet::remove(self, sat, content)
-    }
-    fn clear_sat(&mut self, sat: u32, dropped: &mut Vec<ContentId>) -> u64 {
-        PolicyFleet::clear_sat(self, sat, dropped)
-    }
-    fn occupied_into(&self, out: &mut Vec<(u32, u32, u64)>) {
-        dispatch!(self, p => p.occupied_into(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,7 +472,7 @@ mod tests {
         for kind in PolicyKind::ALL {
             let mut f = PolicyFleet::new(kind, 2, 1_000, SimDuration::from_secs(60));
             assert_eq!(f.kind(), kind);
-            assert_eq!(CachePolicy::name(&f), kind.name());
+            assert_eq!(dispatch!(&f, p => p.name()), kind.name());
             assert_eq!(f.sat_count(), 2);
             assert_eq!(f.capacity_bytes_per_sat(), 1_000);
             assert!(f.is_empty());

@@ -17,9 +17,8 @@
 //! eagerly correct.
 
 use crate::arena::{meta_set, EntryArena, List, NIL};
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, CacheStats};
 use spacecdn_geo::{SimDuration, SimTime};
 
 /// A whole constellation's SIEVE caches in flat parallel arrays.

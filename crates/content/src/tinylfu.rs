@@ -25,9 +25,8 @@
 //! engine's holder lists stay eagerly correct.
 
 use crate::arena::{meta_set, EntryArena, List, NIL};
-use crate::cache::CacheStats;
 use crate::catalog::ContentId;
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, CacheStats};
 use crate::sketch::FrequencySketch;
 use spacecdn_geo::{SimDuration, SimTime};
 

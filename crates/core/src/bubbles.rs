@@ -6,9 +6,12 @@
 //! This module implements that policy — per-satellite LRU caches refreshed
 //! with the destination region's hot set as satellites cross region
 //! boundaries — and a static-placement baseline for comparison.
+//!
+//! The satellite caches are one [`FleetCache`] with a slot per satellite,
+//! run as plain LRU: the clock never advances, so entries never expire.
 
-use spacecdn_content::cache::{Cache, LruCache};
 use spacecdn_content::catalog::{Catalog, ContentId, RegionTag};
+use spacecdn_content::fleet::FleetCache;
 use spacecdn_content::popularity::RegionalPopularity;
 use spacecdn_geo::{Geodetic, Km, SimTime};
 use spacecdn_orbit::{Constellation, SatIndex};
@@ -27,7 +30,7 @@ pub struct BubbleRegion {
 /// Per-satellite caches managed by the bubble policy.
 pub struct BubbleWorld {
     regions: Vec<BubbleRegion>,
-    caches: Vec<LruCache>,
+    caches: FleetCache,
 }
 
 impl BubbleWorld {
@@ -35,9 +38,7 @@ impl BubbleWorld {
     pub fn new(sat_count: usize, capacity_bytes: u64, regions: Vec<BubbleRegion>) -> Self {
         BubbleWorld {
             regions,
-            caches: (0..sat_count)
-                .map(|_| LruCache::new(capacity_bytes))
-                .collect(),
+            caches: FleetCache::new(sat_count, capacity_bytes, FleetCache::UNEXPIRING_TTL),
         }
     }
 
@@ -67,18 +68,18 @@ impl BubbleWorld {
             let Some(tag) = self.region_of(sub_ground).map(|r| r.tag) else {
                 continue;
             };
-            let cache = &mut self.caches[sat.as_usize()];
+            let cache = &mut self.caches;
             for &id in popularity.hot_set(tag, hot_set_size) {
                 let Some(obj) = catalog.get(id) else { continue };
-                if cache.used_bytes() + obj.size_bytes > cache.capacity_bytes()
-                    && !cache.contains(id)
+                if cache.used_bytes_of(sat.0) + obj.size_bytes > cache.capacity_bytes_per_sat()
+                    && !cache.contains(sat.0, id)
                 {
                     // Respect the hot-set priority order: once the cache is
                     // full of hotter items, stop rather than churn.
                     break;
                 }
-                let fresh = !cache.contains(id);
-                if cache.insert(id, obj.size_bytes) && fresh {
+                let fresh = !cache.contains(sat.0, id);
+                if cache.insert(sat.0, id, obj.size_bytes) && fresh {
                     inserted += 1;
                 }
             }
@@ -89,12 +90,11 @@ impl BubbleWorld {
     /// Serve a request at `sat` for `id`; returns hit/miss and updates
     /// recency. On a miss the object is installed (pull-through caching).
     pub fn serve(&mut self, sat: SatIndex, id: ContentId, catalog: &Catalog) -> bool {
-        let cache = &mut self.caches[sat.as_usize()];
-        if cache.get(id) {
+        if self.caches.get(sat.0, id) {
             true
         } else {
             if let Some(obj) = catalog.get(id) {
-                cache.insert(id, obj.size_bytes);
+                self.caches.insert(sat.0, id, obj.size_bytes);
             }
             false
         }
@@ -104,24 +104,18 @@ impl BubbleWorld {
     /// nothing. Placement-comparison experiments use this so eviction
     /// pollution doesn't confound the placement policy under test.
     pub fn serve_no_fill(&mut self, sat: SatIndex, id: ContentId) -> bool {
-        self.caches[sat.as_usize()].get(id)
+        self.caches.get(sat.0, id)
     }
 
     /// Aggregate hit ratio across all satellite caches.
     pub fn hit_ratio(&self) -> f64 {
-        let (hits, misses) = self.caches.iter().fold((0u64, 0u64), |(h, m), c| {
-            (h + c.stats().hits, m + c.stats().misses)
-        });
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
+        self.caches.stats().hit_ratio()
     }
 
-    /// Access a satellite's cache (diagnostics).
-    pub fn cache(&self, sat: SatIndex) -> &LruCache {
-        &self.caches[sat.as_usize()]
+    /// Whether satellite `sat` holds `id` (no recency or counter side
+    /// effects).
+    pub fn contains(&self, sat: SatIndex, id: ContentId) -> bool {
+        self.caches.contains(sat.0, id)
     }
 }
 
@@ -135,22 +129,19 @@ pub fn static_placement_hit_ratio(
     global_hot: &[ContentId],
     requests: &[(SatIndex, ContentId)],
 ) -> f64 {
-    let mut caches: Vec<LruCache> = (0..sat_count)
-        .map(|_| {
-            let mut c = LruCache::new(capacity_bytes);
-            for &id in global_hot {
-                let Some(obj) = catalog.get(id) else { continue };
-                if c.used_bytes() + obj.size_bytes > c.capacity_bytes() {
-                    break;
-                }
-                c.insert(id, obj.size_bytes);
+    let mut caches = FleetCache::new(sat_count, capacity_bytes, FleetCache::UNEXPIRING_TTL);
+    for sat in 0..sat_count as u32 {
+        for &id in global_hot {
+            let Some(obj) = catalog.get(id) else { continue };
+            if caches.used_bytes_of(sat) + obj.size_bytes > capacity_bytes {
+                break;
             }
-            c
-        })
-        .collect();
+            caches.insert(sat, id, obj.size_bytes);
+        }
+    }
     let mut hits = 0u64;
     for &(sat, id) in requests {
-        if caches[sat.as_usize()].get(id) {
+        if caches.get(sat.0, id) {
             hits += 1;
         }
     }
@@ -213,10 +204,7 @@ mod tests {
         // Find a satellite over Europe and check it holds Europe-hot items.
         let (sat, _) = c.nearest_satellite(Geodetic::ground(50.0, 10.0), SimTime::EPOCH);
         let hot = pop.hot_set(RegionTag(0), 10);
-        let held = hot
-            .iter()
-            .filter(|id| world.cache(sat).contains(**id))
-            .count();
+        let held = hot.iter().filter(|id| world.contains(sat, **id)).count();
         assert!(held >= 8, "overhead satellite holds {held}/10 of hot set");
     }
 

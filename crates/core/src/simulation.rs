@@ -10,7 +10,6 @@
 
 use crate::bubbles::{BubbleRegion, BubbleWorld};
 use crate::network::LsnNetwork;
-use spacecdn_content::cache::Cache;
 use spacecdn_content::catalog::{Catalog, RegionTag};
 use spacecdn_content::popularity::RegionalPopularity;
 use spacecdn_des::{run_until, Percentiles, Scheduler};
@@ -264,7 +263,7 @@ pub fn run_workload(net: &LsnNetwork, config: &WorkloadConfig) -> WorkloadReport
                     // Serve from the overhead satellite, else hunt the ISL
                     // neighbourhood for any satellite caching the object.
                     let found = bfs_nearest(graph, overhead, config.max_isl_hops, |s| {
-                        world.cache(s).contains(id)
+                        world.contains(s, id)
                     });
                     match found {
                         Some(path) => {

@@ -57,12 +57,10 @@ pub use spacecdn_terra as terra;
 /// steady-state traffic engine and its campaign, and the units, RNG and
 /// network types they take.
 pub mod prelude {
-    pub use spacecdn_content::cache::{Cache, CacheStats, LruCache};
     pub use spacecdn_content::catalog::{Catalog, ContentId};
     pub use spacecdn_content::fleet::FleetCache;
-    pub use spacecdn_content::policy::{CachePolicy, PolicyFleet, PolicyKind};
+    pub use spacecdn_content::policy::{CachePolicy, CacheStats, PolicyFleet, PolicyKind};
     pub use spacecdn_content::popularity::ZipfSampler;
-    pub use spacecdn_content::ttl::TtlCache;
     pub use spacecdn_core::duty_cycle::DutyCycler;
     pub use spacecdn_core::network::{LsnNetwork, LsnSnapshot, PathBreakdown};
     pub use spacecdn_core::placement::{PlacementPlan, PlacementSpec, PlacementStrategy};

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: the full pipeline from orbital mechanics
 //! through routing, caching, and measurement.
 
-use spacecdn_suite::content::cache::{Cache, LruCache};
 use spacecdn_suite::content::catalog::{Catalog, RegionTag};
+use spacecdn_suite::content::fleet::FleetCache;
 use spacecdn_suite::content::popularity::RegionalPopularity;
 use spacecdn_suite::core::network::LsnNetwork;
 use spacecdn_suite::core::placement::{PlacementPlan, PlacementStrategy};
@@ -111,18 +111,18 @@ fn regional_popularity_feeds_caches() {
     let tags = [RegionTag(0), RegionTag(1)];
     let catalog = Catalog::generate(1000, &tags, 0.5, &mut rng);
     let pop = RegionalPopularity::build(&catalog, 2, 1.0, 6.0, &mut rng);
-    let mut cache = LruCache::new(200_000_000);
+    let mut cache = FleetCache::new(1, 200_000_000, FleetCache::UNEXPIRING_TTL);
     for &id in pop.hot_set(RegionTag(0), 300) {
         let obj = catalog.get(id).unwrap();
-        if cache.used_bytes() + obj.size_bytes > cache.capacity_bytes() {
+        if cache.used_bytes_of(0) + obj.size_bytes > cache.capacity_bytes_per_sat() {
             break;
         }
-        cache.insert(id, obj.size_bytes);
+        cache.insert(0, id, obj.size_bytes);
     }
     let mut hits = 0;
     let n = 2000;
     for _ in 0..n {
-        if cache.get(pop.sample(RegionTag(0), &mut rng)) {
+        if cache.get(0, pop.sample(RegionTag(0), &mut rng)) {
             hits += 1;
         }
     }
