@@ -533,6 +533,44 @@ mod tests {
     }
 
     #[test]
+    fn clock_never_goes_backwards() {
+        let mut f = fleet(1_000);
+        f.set_now(SimTime::from_secs(100));
+        f.set_now(SimTime::from_secs(50));
+        assert_eq!(f.now(), SimTime::from_secs(100));
+    }
+
+    #[test]
+    fn stats_surface_expirations_not_invalidations() {
+        let mut f = fleet(1_000);
+        f.insert(0, id(1), 100);
+        f.insert(0, id(2), 100);
+        f.insert(0, id(3), 100);
+        f.set_now(SimTime::from_secs(60));
+        assert!(!f.get(0, id(1))); // purge via get
+        assert!(!f.is_fresh(0, id(2))); // purge via is_fresh
+        assert!(f.remove(0, id(3))); // explicit invalidation (expired or not)
+        let s = f.stats();
+        assert_eq!(s.expirations, 2, "both TTL purges surfaced");
+        assert_eq!(s.invalidations, 1, "explicit remove stays an invalidation");
+        assert_eq!(s.inserts, 3);
+        assert_eq!(s.hits + s.misses, s.gets);
+        assert_eq!(s.departures(), s.inserts - f.len() as u64);
+    }
+
+    #[test]
+    fn expired_purges_counts_every_purge_path() {
+        let mut f = fleet(1_000);
+        f.insert(0, id(1), 100);
+        f.insert(0, id(2), 100);
+        f.set_now(SimTime::from_secs(60));
+        assert!(!f.get(0, id(1))); // purge via get
+        assert!(f.insert(0, id(2), 100)); // purge via insert, then re-add
+        assert_eq!(f.expired_purges(), 2);
+        assert_eq!(f.stats().inserts, 3);
+    }
+
+    #[test]
     fn unexpiring_ttl_outlasts_any_run() {
         let mut f = FleetCache::new(1, 1_000, FleetCache::UNEXPIRING_TTL);
         f.insert(0, id(1), 100);

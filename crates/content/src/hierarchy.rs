@@ -115,9 +115,10 @@ pub struct HierarchyOutcome {
 /// A two-level cache tree with an origin: many edges per regional.
 ///
 /// Accounting lives entirely in the per-tier [`CacheStats`] the two fleets
-/// already keep: every request is one `get` against an edge, so edge gets = requests, edge
-/// hits = edge-served, regional hits = regional-served, and regional
-/// misses = origin fetches. There are no side counters to drift.
+/// already keep: every request is one `get` against an edge, so edge
+/// gets = requests, edge hits = edge-served, regional hits =
+/// regional-served, and regional misses = origin fetches. There are no
+/// side counters to drift.
 pub struct CacheHierarchy {
     /// One slot per edge.
     edges: FleetCache,

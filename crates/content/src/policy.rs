@@ -30,10 +30,10 @@ use spacecdn_geo::{SimDuration, SimTime};
 /// Hit/miss counters shared by all policies.
 ///
 /// The departure taxonomy is unified across every policy: an entry leaves
-/// a cache for exactly one of three reasons — **evicted** under capacity pressure (including
-/// admission-filter rejections that drop a window candidate), **expired**
-/// when its TTL lapsed before any probe touched it, or **invalidated** by an
-/// explicit `remove`/`clear`. For policies that track all counters the books
+/// a cache for exactly one of three reasons — **evicted** under capacity
+/// pressure (including admission-filter rejections that drop a window
+/// candidate), **expired** when its TTL lapsed before any probe touched
+/// it, or **invalidated** by an explicit `remove`/`clear_sat`. For policies that track all counters the books
 /// balance: `hits + misses == gets` and
 /// `evictions + expirations + invalidations == inserts - len`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Objects dropped because their TTL lapsed (any purge path).
     pub expirations: u64,
-    /// Objects dropped by explicit `remove` or `clear`.
+    /// Objects dropped by explicit `remove` or `clear_sat`.
     pub invalidations: u64,
 }
 
@@ -455,6 +455,15 @@ impl PolicyFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hit_ratio_math() {
+        let mut s = CacheStats::default();
+        assert_eq!(s.hit_ratio(), 0.0);
+        s.hits = 3;
+        s.misses = 1;
+        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
+    }
 
     #[test]
     fn kind_names_round_trip() {

@@ -19,10 +19,11 @@
 //!   [`TrafficConfig::policy`]): parallel arrays indexed by a global
 //!   satellite slot with intrusive policy links, not a map of small
 //!   per-satellite caches (each policy proven decision-identical to a
-//!   naive reference by the differential oracle in `spacecdn-content`). Holder lists — which satellites cache each
-//!   object — are maintained *eagerly*: LRU evictions report their
-//!   victims, TTL lapses are applied by a timer queue with lazy
-//!   deletion, and epoch invalidations drain the wiped slots. The
+//!   naive reference by the differential oracle in `spacecdn-content`).
+//!   Holder lists — which satellites cache each object — are maintained
+//!   *eagerly*: LRU evictions report their victims, TTL lapses are
+//!   applied by a timer queue with lazy deletion, and epoch invalidations
+//!   drain the wiped slots. The
 //!   per-request candidate scan is therefore pure arithmetic over live
 //!   holders, with no per-candidate freshness probing.
 //! - **Batched retrieval per (epoch, source).** All requests a source

@@ -72,6 +72,13 @@ fn covered_city_sampler() -> Vec<&'static City> {
 /// scratch working set serves the whole epoch. Warmed tables are bitwise
 /// identical to on-demand ones — this moves work, never changes results —
 /// and the call is a no-op when the routing cache is disabled.
+///
+/// The full tables are not wasted on fetches bounded to a few hops: every
+/// trial also prices its ground fallback with
+/// [`LsnSnapshot::starlink_rtt_to_pop`], which reads the full
+/// `routing_tables(nearest_alive(city))` — and `overhead_sat` *is*
+/// `nearest_alive`, so this warm is the parallel pre-build of exactly the
+/// tables the trials read.
 fn warm_epoch_sources(snap: &LsnSnapshot<'_>, pool: &[&'static City]) {
     let mut seen_city = HashSet::new();
     let mut seen_sat = HashSet::new();
