@@ -16,7 +16,7 @@
 use spacecdn_engine::{snapshot_pool_enabled, SnapshotKey, SnapshotPool};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency, SimTime};
-use spacecdn_lsn::{AccessModel, FaultPlan, IslGraph};
+use spacecdn_lsn::{dijkstra_distances_until, AccessModel, FaultPlan, IslGraph};
 use spacecdn_orbit::{Constellation, SatIndex};
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, Unit};
 use spacecdn_terra::fiber::FiberModel;
@@ -172,6 +172,19 @@ pub struct LsnSnapshot<'a> {
     /// them — including the user's own serving satellite, which is how
     /// single-satellite bent pipes work when user and gateway are close.
     gateway_candidates: Vec<Vec<(SatIndex, Km)>>,
+    /// `gateway_candidates` inverted, built on first use.
+    landings: OnceLock<Landings>,
+}
+
+/// Where each satellite can come down: [`LsnSnapshot`]'s gateway
+/// candidates indexed by satellite.
+struct Landings {
+    /// Per satellite, every `(gateway index, slant range)` it can come
+    /// down at.
+    by_sat: Vec<Vec<(u32, Km)>>,
+    /// The cheapest ground leg over every candidate: a floor on the
+    /// ground leg of any path down.
+    min_ground_leg: Latency,
 }
 
 /// Maximum slant range at which a gateway antenna can close a link
@@ -301,6 +314,7 @@ impl LsnNetwork {
             net: self,
             graph,
             gateway_candidates,
+            landings: OnceLock::new(),
         }
     }
 
@@ -364,6 +378,18 @@ impl<'a> LsnSnapshot<'a> {
     /// When `rng` is provided, user-link jitter is sampled once and applied
     /// to the chosen path. Returns `None` when no satellite serves the user
     /// or no gateway is reachable.
+    ///
+    /// One Dijkstra from the overhead satellite prices the path, and it
+    /// stops early: hop processing is non-negative and the ground and
+    /// fibre legs are at least their cheapest values, so a gateway
+    /// candidate `km` of ISL away costs at least
+    /// `user_link + rt(km) + min ground leg + min fibre leg` (added in the
+    /// order the RTT is, so the floor holds bit for bit). The walk keeps
+    /// the best full RTT over the candidates settled so far and ends at
+    /// the first satellite whose floor exceeds it; every candidate it
+    /// leaves unsettled is strictly worse than the winner, so the
+    /// selection below — which reads them as unreachable — picks the same
+    /// gateway, hop count and RTT bits as a full table would.
     pub fn starlink_rtt_to_pop(
         &self,
         user: Geodetic,
@@ -375,21 +401,60 @@ impl<'a> LsnSnapshot<'a> {
             Some(r) => self.net.access.user_link_rtt_sample(up_slant, r),
             None => self.net.access.user_link_rtt_median(up_slant),
         };
-        let space = self.graph.routing_tables(up_sat);
+        let fiber: Vec<Latency> = self
+            .net
+            .gateways
+            .iter()
+            .map(|gw| {
+                self.net.fiber.wan_rtt(
+                    gw.position(),
+                    gw.city.region,
+                    pop.position(),
+                    pop.city.region,
+                )
+            })
+            .collect();
+        let space_leg = |isl_km: f64, isl_hops: u32, down_slant: Km| {
+            propagation_delay(Km(isl_km), Medium::Vacuum).round_trip()
+                + self.net.access.isl_processing(isl_hops as usize)
+                + self.net.access.ground_leg_rtt(down_slant)
+        };
+        let landings = self.landings();
+        let min_fiber_leg = fiber
+            .iter()
+            .fold(Latency(f64::INFINITY), |m, &f| if f < m { f } else { m });
+        let mut bound = Latency(f64::INFINITY);
+        let space = dijkstra_distances_until(&self.graph, up_sat, |sat, (isl_km, isl_hops)| {
+            let isl = propagation_delay(Km(isl_km), Medium::Vacuum).round_trip();
+            if user_link + (isl + landings.min_ground_leg) + min_fiber_leg > bound {
+                return true;
+            }
+            for &(gi, down_slant) in &landings.by_sat[sat.as_usize()] {
+                let rtt = user_link + space_leg(isl_km, isl_hops, down_slant) + fiber[gi as usize];
+                if rtt < bound {
+                    bound = rtt;
+                }
+            }
+            false
+        });
 
         let mut best: Option<PathBreakdown> = None;
-        for (gw, candidates) in self.net.gateways.iter().zip(&self.gateway_candidates) {
+        for ((gw, candidates), &fiber_leg) in self
+            .net
+            .gateways
+            .iter()
+            .zip(&self.gateway_candidates)
+            .zip(&fiber)
+        {
             // Best way down at this gateway: minimise ISL propagation +
             // hop processing + the down-leg over all satellites it sees.
             let mut gw_best: Option<(Latency, usize)> = None;
             for &(down_sat, down_slant) in candidates {
-                let (isl_km, isl_hops) = space.km[down_sat.as_usize()];
+                let (isl_km, isl_hops) = space[down_sat.as_usize()];
                 if !isl_km.is_finite() {
                     continue;
                 }
-                let space_leg = propagation_delay(Km(isl_km), Medium::Vacuum).round_trip()
-                    + self.net.access.isl_processing(isl_hops as usize)
-                    + self.net.access.ground_leg_rtt(down_slant);
+                let space_leg = space_leg(isl_km, isl_hops, down_slant);
                 if gw_best.is_none_or(|(b, _)| space_leg < b) {
                     gw_best = Some((space_leg, isl_hops as usize));
                 }
@@ -397,12 +462,6 @@ impl<'a> LsnSnapshot<'a> {
             let Some((space_leg, isl_hops)) = gw_best else {
                 continue;
             };
-            let fiber_leg = self.net.fiber.wan_rtt(
-                gw.position(),
-                gw.city.region,
-                pop.position(),
-                pop.city.region,
-            );
             let rtt = user_link + space_leg + fiber_leg;
             let relay = gw.city.name != pop.city.name;
             if best.as_ref().is_none_or(|b| rtt < b.rtt) {
@@ -415,6 +474,27 @@ impl<'a> LsnSnapshot<'a> {
             }
         }
         best
+    }
+
+    /// `gateway_candidates` inverted, built once per snapshot.
+    fn landings(&self) -> &Landings {
+        self.landings.get_or_init(|| {
+            let mut by_sat = vec![Vec::new(); self.graph.len()];
+            let mut min_ground_leg = Latency(f64::INFINITY);
+            for (gi, candidates) in self.gateway_candidates.iter().enumerate() {
+                for &(sat, slant) in candidates {
+                    by_sat[sat.as_usize()].push((gi as u32, slant));
+                    let leg = self.net.access.ground_leg_rtt(slant);
+                    if leg < min_ground_leg {
+                        min_ground_leg = leg;
+                    }
+                }
+            }
+            Landings {
+                by_sat,
+                min_ground_leg,
+            }
+        })
     }
 
     /// End-to-end RTT from a Starlink user to a terrestrial server: PoP path
@@ -447,6 +527,7 @@ impl<'a> LsnSnapshot<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spacecdn_lsn::SourceTables;
     use spacecdn_terra::city::city_by_name;
 
     fn snapshot_at(t: u64) -> (LsnNetwork, SimTime) {
@@ -556,6 +637,119 @@ mod tests {
         let (_, pos, _) = city("London");
         let (_, slant) = snap.overhead_sat(pos).unwrap();
         assert!(slant.0 < 1200.0);
+    }
+
+    /// The pre-bound pricing: the same selection loops over the full
+    /// routing tables of the overhead satellite.
+    fn reference_rtt_to_pop(
+        snap: &LsnSnapshot<'_>,
+        space: &SourceTables,
+        user: Geodetic,
+        pop: &StarlinkPop,
+        mut rng: Option<&mut DetRng>,
+    ) -> Option<PathBreakdown> {
+        let (_, up_slant) = snap.graph.nearest_alive(user)?;
+        let access = &snap.net.access;
+        let user_link = match rng.as_mut() {
+            Some(r) => access.user_link_rtt_sample(up_slant, r),
+            None => access.user_link_rtt_median(up_slant),
+        };
+        let mut best: Option<PathBreakdown> = None;
+        for (gw, candidates) in snap.net.gateways.iter().zip(&snap.gateway_candidates) {
+            let mut gw_best: Option<(Latency, usize)> = None;
+            for &(down_sat, down_slant) in candidates {
+                let (isl_km, isl_hops) = space.km[down_sat.as_usize()];
+                if !isl_km.is_finite() {
+                    continue;
+                }
+                let space_leg = propagation_delay(Km(isl_km), Medium::Vacuum).round_trip()
+                    + access.isl_processing(isl_hops as usize)
+                    + access.ground_leg_rtt(down_slant);
+                if gw_best.is_none_or(|(b, _)| space_leg < b) {
+                    gw_best = Some((space_leg, isl_hops as usize));
+                }
+            }
+            let Some((space_leg, isl_hops)) = gw_best else {
+                continue;
+            };
+            let fiber_leg = snap.net.fiber.wan_rtt(
+                gw.position(),
+                gw.city.region,
+                pop.position(),
+                pop.city.region,
+            );
+            let rtt = user_link + space_leg + fiber_leg;
+            if best.as_ref().is_none_or(|b| rtt < b.rtt) {
+                best = Some(PathBreakdown {
+                    rtt,
+                    isl_hops,
+                    via_gateway_relay: gw.city.name != pop.city.name,
+                    landing_gateway: gw.city.name,
+                });
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn bounded_fallback_pricing_matches_full_tables_bit_for_bit() {
+        use spacecdn_terra::city::cities;
+        use spacecdn_terra::starlink::covered_countries;
+        use std::collections::HashMap;
+        let net = LsnNetwork::starlink();
+        let covered = covered_countries();
+        let served: Vec<_> = cities()
+            .iter()
+            .filter(|c| covered.contains(&c.cc))
+            .collect();
+        let mut faults = FaultPlan::none();
+        faults.fail_random_sats(
+            net.constellation().len(),
+            0.15,
+            &mut DetRng::new(8, "fallback"),
+        );
+        let (mut compared, mut relays) = (0usize, 0usize);
+        for plan in [FaultPlan::none(), faults] {
+            for epoch in 0..6u64 {
+                let snap = net.snapshot(SimTime::from_secs(epoch * 157), &plan);
+                let mut full: HashMap<SatIndex, SourceTables> = HashMap::new();
+                for city in &served {
+                    let user = city.position();
+                    let pop = snap.home_pop(city.cc, user);
+                    let Some((up, _)) = snap.overhead_sat(user) else {
+                        assert!(snap.starlink_rtt_to_pop(user, &pop, None).is_none());
+                        continue;
+                    };
+                    let space = full
+                        .entry(up)
+                        .or_insert_with(|| SourceTables::compute(snap.graph(), up));
+                    let stream = format!("fallback/{}/{epoch}", city.name);
+                    for jitter in [false, true] {
+                        let (mut r1, mut r2) = (DetRng::new(3, &stream), DetRng::new(3, &stream));
+                        let (a, b) = if jitter {
+                            (Some(&mut r1), Some(&mut r2))
+                        } else {
+                            (None, None)
+                        };
+                        let got = snap.starlink_rtt_to_pop(user, &pop, a);
+                        let want = reference_rtt_to_pop(&snap, space, user, &pop, b);
+                        let (got, want) = (got.expect("path"), want.expect("path"));
+                        assert_eq!(got.rtt.0.to_bits(), want.rtt.0.to_bits(), "{}", city.name);
+                        assert_eq!(got.isl_hops, want.isl_hops, "{}", city.name);
+                        assert_eq!(got.landing_gateway, want.landing_gateway, "{}", city.name);
+                        assert_eq!(got.via_gateway_relay, want.via_gateway_relay);
+                        assert_eq!(r1.unit().to_bits(), r2.unit().to_bits(), "rng consumption");
+                        compared += 1;
+                        relays += usize::from(got.via_gateway_relay);
+                    }
+                }
+            }
+        }
+        assert!(compared >= 2 * 2 * 6 * 80, "only {compared} comparisons");
+        assert!(
+            relays > 0 && relays < compared,
+            "both path kinds must occur"
+        );
     }
 
     #[test]

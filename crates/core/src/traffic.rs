@@ -33,9 +33,10 @@
 //!   ([`resolve_overheads`] warms the tables, one task per distinct
 //!   overhead satellite); shards only read it. The tables are
 //!   [`RoutingBall`]s out to the ladder's top rung — a holder beyond it
-//!   never wins a rung — memoized in each graph's routing cache, where a
-//!   cached full table or wider ball answers a narrower query and a wider
-//!   query replaces the ball. A shard keeps just a
+//!   never wins a rung — whose walks also stop once no unsettled
+//!   satellite can beat the source's ground fallback (one that cannot
+//!   beat it never serves), memoized in each graph's routing cache under
+//!   its reuse rule (see [`spacecdn_lsn::cache`]). A shard keeps just a
 //!   `BatchCtx` per source it serves — the memo generation minted on
 //!   first touch and a request count — and thousands of requests reuse it
 //!   (`core.traffic.batch.*` telemetry tracks the amortization).
@@ -71,7 +72,7 @@ use spacecdn_des::Percentiles;
 use spacecdn_engine::{par_map, par_map_indices};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency, SimDuration, SimTime};
-use spacecdn_lsn::{AccessModel, IslGraph, RoutingBall};
+use spacecdn_lsn::{AccessModel, FallbackCut, IslGraph, RoutingBall};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, LocalHistogram, Unit};
 use std::collections::{HashMap, VecDeque};
@@ -117,6 +118,12 @@ static CACHE_OCCUPANCY: LazyHistogram =
 /// search and the ladder-bounded table fan-out (racy: a clock reading).
 static TABLE_WARM_NS: LazyHistogram =
     LazyHistogram::racy("core.traffic.table_warm_ns", Unit::Nanos);
+
+/// Wall time of each burst's shard fan-out — every shard's simulation,
+/// from the first shard's set-up to the last shard's telemetry flush
+/// (racy: a clock reading).
+static SHARD_FAN_OUT_NS: LazyHistogram =
+    LazyHistogram::racy("core.traffic.shard_fan_out_ns", Unit::Nanos);
 
 /// Ground-hierarchy sizing for the tiered fallback (placement spec
 /// `tiers`): a handful of metro edges under one regional, the classic §2
@@ -466,7 +473,7 @@ const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// Per-shell retrieval geometry of one (epoch, source) batch: the
 /// overhead satellite (as a global slot), its user-link propagation
 /// round trip, and the routing tables rooted at it, out to the ladder's
-/// top rung.
+/// top rung and cut at the ground fallback (see [`resolve_overheads`]).
 struct ShellGeo {
     overhead_slot: u32,
     user_prop: Latency,
@@ -1061,8 +1068,9 @@ pub struct Overhead {
     pub sat: SatIndex,
     /// Slant range from the ground point to it.
     pub slant: Km,
-    /// Routing tables from it out to the requested radius, shared with
-    /// the graph's routing cache.
+    /// Routing tables from it out to the requested radius, cut at the
+    /// ground fallback of the users homed on it, shared with the graph's
+    /// routing cache.
     pub tables: RoutingBall,
 }
 
@@ -1071,17 +1079,31 @@ pub struct Overhead {
 /// with tables exact out to `radius` hops
 /// ([`IslGraph::routing_tables_within`]; `u32::MAX` builds full tables).
 ///
+/// `fallback(g, u)` is the ground-fallback RTT user `u`'s fetches on
+/// graph `g` are served against (an infinite one keeps whole balls). A
+/// fetch is served from space only when `base + jitter ≤ fallback`, where
+/// the jitter is positive and `base ≥ user_prop + rt(km)` (every cost past
+/// the user link's propagation round trip and the ISL path's is
+/// non-negative, and a cooperative probe over an edge costs at least the
+/// Dijkstra km to its neighbor). So each table's walk also stops once
+/// `user_prop + rt(km)` of the next satellite to settle exceeds the
+/// fallback ([`IslGraph::routing_tables_cut`]): nothing it drops could
+/// ever serve, and every per-rung best, tie and decision stays the same.
+/// A table serves every user homed on its satellite, so its cut takes
+/// their smallest `user_prop` and largest fallback.
+///
 /// One [`IslGraph::nearest_alive`] pass per graph, then one [`par_map`]
 /// task per *distinct* (graph, overhead satellite) pair, in graph-major
 /// order. A table build costs far more than a search and users cluster
 /// on few satellites, so per-satellite tasks keep every worker busy where
 /// one task per graph left them waiting on the largest graph. Tables come
 /// from (and stay in) each graph's routing cache, so they are bitwise the
-/// tables an on-demand lookup returns.
+/// tables an on-demand lookup with the same cut returns.
 pub fn resolve_overheads(
     graphs: &[&IslGraph],
     users: &[Geodetic],
     radius: u32,
+    fallback: impl Fn(usize, usize) -> Latency,
 ) -> Vec<Vec<Option<Overhead>>> {
     let nearest: Vec<Vec<Option<(SatIndex, Km)>>> = par_map(graphs, |_, g| {
         users.iter().map(|&user| g.nearest_alive(user)).collect()
@@ -1097,8 +1119,38 @@ pub fn resolve_overheads(
             sats.into_iter().map(move |sat| (gi, sat))
         })
         .collect();
-    let tables = par_map(&tasks, |_, &(gi, sat)| {
-        graphs[gi].routing_tables_within(sat, radius)
+    let task_of = |gi: usize, sat: SatIndex| {
+        tasks
+            .binary_search(&(gi, sat))
+            .expect("every overhead satellite has a task")
+    };
+    // Each task's cut: the smallest user-link round trip and the largest
+    // fallback among the users homed on it.
+    let mut cuts = vec![
+        FallbackCut {
+            user_prop: Latency(f64::INFINITY),
+            fallback: Latency::ZERO,
+        };
+        tasks.len()
+    ];
+    for (gi, row) in nearest.iter().enumerate() {
+        for (ui, hit) in row.iter().enumerate() {
+            let Some((sat, slant)) = *hit else {
+                continue;
+            };
+            let cut = &mut cuts[task_of(gi, sat)];
+            let user_prop = propagation_delay(slant, Medium::Vacuum).round_trip();
+            if user_prop < cut.user_prop {
+                cut.user_prop = user_prop;
+            }
+            let fallback = fallback(gi, ui);
+            if fallback > cut.fallback {
+                cut.fallback = fallback;
+            }
+        }
+    }
+    let tables = par_map(&tasks, |t, &(gi, sat)| {
+        graphs[gi].routing_tables_cut(sat, radius, cuts[t])
     });
     nearest
         .into_iter()
@@ -1107,13 +1159,10 @@ pub fn resolve_overheads(
             row.into_iter()
                 .map(|hit| {
                     let (sat, slant) = hit?;
-                    let task = tasks
-                        .binary_search(&(gi, sat))
-                        .expect("every overhead satellite has a task");
                     Some(Overhead {
                         sat,
                         slant,
-                        tables: tables[task].clone(),
+                        tables: tables[task_of(gi, sat)].clone(),
                     })
                 })
                 .collect()
@@ -1229,6 +1278,13 @@ fn run_shards(
     // neighbor, so the tables need reach no further.
     let positions: Vec<Geodetic> = sources.iter().map(|s| s.position).collect();
     let all_graphs: Vec<&IslGraph> = graphs.iter().flatten().map(|g| &**g).collect();
+    // Each walk also stops at its sources' ground fallback (see
+    // [`resolve_overheads`]), except on the first scenario's final-epoch
+    // graph: the burst leaves that scenario positioned there, and the
+    // fetches a caller makes through it next (`Scenario::fetch`, the
+    // serve session's `fetch`) read uncut tables, which a cut one cannot
+    // answer. Built uncut here, in the fan-out, they are built once.
+    let live_graph = (cfg.epochs - 1) * shells;
     let radius = cfg
         .escalation
         .iter()
@@ -1238,7 +1294,13 @@ fn run_shards(
         .max(u32::from(coop));
     let overheads = {
         let _span = TABLE_WARM_NS.timer();
-        resolve_overheads(&all_graphs, &positions, radius)
+        resolve_overheads(&all_graphs, &positions, radius, |gi, si| {
+            if gi == live_graph {
+                Latency(f64::INFINITY)
+            } else {
+                sources[si].fallback_rtt[gi / shells]
+            }
+        })
     };
     let geos: Vec<Vec<BatchGeo>> = graphs
         .iter()
@@ -1338,6 +1400,7 @@ fn run_shards(
     let horizon = cfg.start + cfg.epoch_step.mul(cfg.epochs as u64);
     let access = scenarios[0].network().access();
 
+    let _span = SHARD_FAN_OUT_NS.timer();
     par_map_indices(cfg.streams, |s| {
         // This stream's catalog shard: global ranks whose content id
         // falls in residue class `s`.
@@ -1827,11 +1890,12 @@ mod tests {
         // Madrid twice: duplicate users share one overhead task.
         let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
         users.push(users[0]);
+        let uncut = |_, _| Latency(f64::INFINITY);
         let check = |graphs: &[&IslGraph]| {
-            let resolved = resolve_overheads(graphs, &users, 10);
+            let resolved = resolve_overheads(graphs, &users, 10, uncut);
             // Full tables for the same users: a cached full table then
             // answers the ball lookups above it.
-            let full = resolve_overheads(graphs, &users, u32::MAX);
+            let full = resolve_overheads(graphs, &users, u32::MAX, uncut);
             assert_eq!(resolved.len(), graphs.len());
             for ((graph, row), full_row) in graphs.iter().zip(&resolved).zip(&full) {
                 assert_eq!(row.len(), users.len());
@@ -1840,7 +1904,7 @@ mod tests {
                         (Some((sat, slant)), Some(o)) => {
                             assert_eq!(o.sat, sat);
                             assert_eq!(o.slant.0.to_bits(), slant.0.to_bits());
-                            let want = RoutingBall::compute(graph, sat, 10);
+                            let want = RoutingBall::compute(graph, sat, 10, None);
                             let full = SourceTables::compute(graph, sat);
                             let o_full = got_full.as_ref().expect("same overhead");
                             for s in (0..graph.len() as u32).map(SatIndex) {
@@ -1884,6 +1948,52 @@ mod tests {
         let small = Constellation::new(shells::test_shell());
         let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
         check(&[&small]);
+    }
+
+    #[test]
+    fn fallback_cut_keeps_every_entry_that_could_serve() {
+        use spacecdn_lsn::{FaultPlan, SourceTables};
+        // Users spread over two continents, three of them homed together
+        // (Madrid and two points beside it) with different fallbacks, so
+        // one task's cut merges users; fallbacks from 25 ms up cut walks
+        // hard.
+        let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
+        users.push(Geodetic::ground(40.41, -3.71));
+        users.push(Geodetic::ground(40.39, -3.69));
+        let fallback_of = |ui: usize| Latency::from_ms(25.0 + 17.0 * ui as f64);
+        let c = Constellation::new(shells::starlink_shell1());
+        let mut faults = FaultPlan::none();
+        faults.fail_random_sats(c.len(), 0.1, &mut DetRng::new(5, "cut"));
+        let mut dropped = 0usize;
+        for (t, plan) in [(0u64, FaultPlan::none()), (211, faults)] {
+            let graph = IslGraph::build(&c, SimTime::from_secs(t), &plan);
+            let resolved = resolve_overheads(&[&graph], &users, 10, |_, ui| fallback_of(ui));
+            for (ui, o) in resolved[0].iter().enumerate() {
+                let o = o.as_ref().expect("Shell 1 covers every user");
+                let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+                let full = SourceTables::compute(&graph, o.sat);
+                for s in (0..graph.len() as u32).map(SatIndex) {
+                    let (km, route) = full.km[s.as_usize()];
+                    let h = full.hops[s.as_usize()];
+                    if h > 10 {
+                        assert_eq!(o.tables.hops(s), u32::MAX);
+                        continue;
+                    }
+                    let floor = user_prop + propagation_delay(Km(km), Medium::Vacuum).round_trip();
+                    if o.tables.hops(s) == u32::MAX {
+                        // Dropped: could never beat this user's fallback.
+                        assert!(floor > fallback_of(ui), "user {ui} lost sat {s:?}");
+                        assert_eq!(o.tables.km(s), (f64::INFINITY, u32::MAX));
+                        dropped += 1;
+                    } else {
+                        assert_eq!(o.tables.hops(s), h);
+                        assert_eq!(o.tables.km(s).0.to_bits(), km.to_bits());
+                        assert_eq!(o.tables.km(s).1, route);
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "no fallback cut ever fired");
     }
 
     #[test]

@@ -124,7 +124,9 @@ fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
         let mut t = SimTime(rng.uniform(0.0, 3_600_000.0) as u64);
         let mut cur: Arc<IslGraph> = net.snapshot(t, &schedule.plan_at(t)).graph_handle();
         for step in 0..STEPS {
-            cur.warm_routing_cache(&sources);
+            for &src in &sources {
+                cur.routing_tables(src);
+            }
             // Mostly dense sub-15 s steps, sometimes a same-instant step
             // (epoch boundary replays) or a long jump.
             let dt = match rng.index(8) {
@@ -182,7 +184,9 @@ fn same_instant_removals_repair_tables_bit_for_bit() {
         // Kill satellites and links one batch at a time without moving the
         // clock: each step is a pure removal on a warmed cache.
         for step in 0..4 {
-            cur.warm_routing_cache(&sources);
+            for &src in &sources {
+                cur.routing_tables(src);
+            }
             for _ in 0..=rng.index(2) {
                 plan.fail_sat(SatIndex(rng.index(c.len()) as u32));
             }
@@ -235,7 +239,9 @@ fn kill_switch_walks_are_bit_identical() {
             let g = net
                 .snapshot_from(t, &schedule.plan_at(t), prev.as_ref())
                 .graph_handle();
-            g.warm_routing_cache(&sources);
+            for &src in &sources {
+                g.routing_tables(src);
+            }
             prev = Some(Arc::clone(&g));
             out.push(g);
         }

@@ -12,10 +12,16 @@
 //! Callers that only look within a hop budget (the Figure 6 ladder tops
 //! out at 10 ISL hops) ask for a [`RoutingBall`] instead: tables exact
 //! out to a BFS radius, built by the [`ball_tables`] kernel for a
-//! fraction of the full pair's cost. Balls are memoized beside the full
-//! tables under one reuse rule — a cached full table answers any radius,
-//! a cached ball answers any radius up to its own, and a wider query
-//! replaces the ball, so each satellite holds at most one ball entry.
+//! fraction of the full pair's cost. A traffic burst's balls may also
+//! carry a [`FallbackCut`]: their walk stops once no unsettled satellite
+//! can beat the ground fallback, so they are exact only out to the km at
+//! which the cut fired. Balls are memoized beside the full tables under
+//! one reuse rule — a cached full table answers any query; a cached ball
+//! answers a query whose radius fits in its own and, if the ball was cut,
+//! whose own cut fires at the km the ball's walk stopped (so the query's
+//! walk would have settled no more); anything else is computed, and
+//! replaces the cached ball unless that one answers everything the new
+//! one does. Each satellite holds at most one ball entry.
 //!
 //! The cache is owned by (and shares the lifetime of) one [`IslGraph`];
 //! rebuilding the snapshot for the next epoch starts from an empty cache,
@@ -27,11 +33,12 @@
 //! the lock is held only for a `HashMap` probe or insert — the uncontended
 //! fast path is a compare-exchange either way.
 
-use crate::routing::{ball_tables, dijkstra_distances, hop_distances, source_tables_many};
+use crate::routing::{ball_tables, dijkstra_distances, hop_distances, FallbackCut};
 use crate::topology::IslGraph;
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -42,7 +49,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 static CACHE_HIT: LazyCounter = LazyCounter::racy("lsn.routing_cache.hit");
 static CACHE_MISS: LazyCounter = LazyCounter::racy("lsn.routing_cache.miss");
 static CACHE_REVERSE_HIT: LazyCounter = LazyCounter::racy("lsn.routing_cache.reverse_hit");
-static CACHE_WARMED: LazyCounter = LazyCounter::racy("lsn.routing_cache.warmed_sources");
 /// Misses answered with a carried hop table from the previous epoch's
 /// cache (the BFS half skipped; only the Dijkstra half recomputed). Racy
 /// for the same reason as the hit/miss split.
@@ -73,11 +79,14 @@ impl SourceTables {
 /// Routing tables from one source satellite, exact within a BFS radius:
 /// for every satellite at most `radius` hops away, the same entries
 /// [`SourceTables`] holds; every other satellite reads as unreachable.
+/// A ball built with a [`FallbackCut`] is exact only for the members
+/// settled before the cut fired; the rest read as unreachable too.
 ///
 /// A distinct type from [`SourceTables`] so that no full-table consumer
 /// can be handed a truncated table. A ball may be backed by a full table
-/// or by a wider ball (see [`RoutingCache::ball_for`]); the accessors
-/// mask by `radius`, so every backing reads identically.
+/// or by a wider (or less cut) ball (see [`RoutingCache::ball_for`]); the
+/// accessors mask by `radius`, so every backing reads identically within
+/// the entries the query needs.
 #[derive(Debug, Clone)]
 pub struct RoutingBall {
     radius: u32,
@@ -88,13 +97,25 @@ pub struct RoutingBall {
 
 impl RoutingBall {
     /// Compute the ball directly (the uncached path). A ball holding the
-    /// source's whole component is the full tables, and reads as such.
-    pub fn compute(graph: &IslGraph, src: SatIndex, radius: u32) -> Self {
-        let ((km, hops), whole) = ball_tables(graph, src, radius);
-        RoutingBall {
-            radius: if whole { u32::MAX } else { radius },
+    /// source's whole component, uncut, is the full tables, and reads as
+    /// such.
+    pub fn compute(graph: &IslGraph, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> Self {
+        Self::walk(graph, src, radius, cut).0
+    }
+
+    /// [`Self::compute`], plus the km at which the cut stopped the walk
+    /// (`f64::INFINITY` when it never fired).
+    fn walk(graph: &IslGraph, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> (Self, f64) {
+        let ((km, hops), whole, cut_km) = ball_tables(graph, src, radius, cut);
+        let ball = RoutingBall {
+            radius: if whole && cut_km.is_infinite() {
+                u32::MAX
+            } else {
+                radius
+            },
             tables: Arc::new(SourceTables { km, hops }),
-        }
+        };
+        (ball, cut_km)
     }
 
     /// The full tables, read as a ball that covers every reachable
@@ -136,13 +157,37 @@ impl RoutingBall {
     }
 }
 
+/// A memoized ball: the radius and the km its walk stopped at
+/// (`f64::INFINITY` when no cut fired), with its tables.
+struct BallEntry {
+    radius: u32,
+    cut_km: f64,
+    tables: Arc<SourceTables>,
+}
+
+impl BallEntry {
+    /// Does this ball hold every entry a query for `radius` cut by `cut`
+    /// needs? An uncut ball answers any radius up to its own; a cut one
+    /// only a cut query whose own test fires at the km this walk stopped
+    /// at, since that query's walk stops there or sooner.
+    fn answers(&self, radius: u32, cut: Option<FallbackCut>) -> bool {
+        self.radius >= radius
+            && (self.cut_km.is_infinite() || cut.is_some_and(|c| c.fires(self.cut_km)))
+    }
+
+    /// Does this ball answer every query `other` answers?
+    fn covers(&self, other: &BallEntry) -> bool {
+        self.radius >= other.radius && self.cut_km >= other.cut_km
+    }
+}
+
 /// Per-snapshot memo of [`SourceTables`] and [`RoutingBall`]s keyed by
 /// source satellite.
 #[derive(Default)]
 pub struct RoutingCache {
     tables: RwLock<HashMap<u32, Arc<SourceTables>>>,
-    /// One ball per source: `(radius, tables exact within it)`.
-    balls: RwLock<HashMap<u32, (u32, Arc<SourceTables>)>>,
+    /// One ball per source.
+    balls: RwLock<HashMap<u32, BallEntry>>,
     /// Hop tables inherited from the previous epoch's cache by
     /// [`IslGraph::apply_delta`] when the step changed edge *lengths* but
     /// not the adjacency structure. BFS levels depend only on structure,
@@ -214,27 +259,37 @@ impl RoutingCache {
         Arc::clone(writer.entry(src.0).or_insert(tables))
     }
 
-    /// The [`RoutingBall`] of `radius` around `src`, served from the full
-    /// tables or a ball at least as wide when either is cached, and
-    /// otherwise computed and memoized — replacing a narrower ball, so
-    /// each source keeps one ball entry. Racing inserts keep the wider
-    /// ball; either copy reads identically within `radius`.
+    /// The [`RoutingBall`] of `radius` around `src`, cut by `cut` if
+    /// given, served from the full tables or a cached ball that answers
+    /// the query (see the module docs), and otherwise computed and
+    /// memoized — replacing the cached ball unless that one answers every
+    /// query the new one does, so each source keeps one ball entry.
+    /// Every backing reads identically within the entries the query
+    /// needs; where a cut query reads more exact entries than its own walk
+    /// would settle, those are exact too.
     ///
     /// A ball that holds the source's whole component (every satellite of
-    /// a small shell) *is* the full tables, so it is memoized as them: it
-    /// then carries across delta steps and seeds the next snapshot's hop
-    /// tables like any full table. A carried hop seed shows that case up
-    /// front, and then only the Dijkstra half is computed.
-    pub fn ball_for(&self, graph: &IslGraph, src: SatIndex, radius: u32) -> RoutingBall {
+    /// a small shell) and that the cut never stopped *is* the full
+    /// tables, so it is memoized as them: it then carries across delta
+    /// steps and seeds the next snapshot's hop tables like any full
+    /// table. A carried hop seed shows that case up front, and then only
+    /// the Dijkstra half is computed.
+    pub fn ball_for(
+        &self,
+        graph: &IslGraph,
+        src: SatIndex,
+        radius: u32,
+        cut: Option<FallbackCut>,
+    ) -> RoutingBall {
         let view = |tables| RoutingBall { radius, tables };
         if let Some(full) = self.tables.read().expect("cache lock poisoned").get(&src.0) {
             CACHE_HIT.incr();
             return view(Arc::clone(full));
         }
-        if let Some((r, ball)) = self.balls.read().expect("cache lock poisoned").get(&src.0) {
-            if *r >= radius {
+        if let Some(ball) = self.balls.read().expect("cache lock poisoned").get(&src.0) {
+            if ball.answers(radius, cut) {
                 CACHE_HIT.incr();
-                return view(Arc::clone(ball));
+                return view(Arc::clone(&ball.tables));
             }
         }
         CACHE_MISS.incr();
@@ -243,19 +298,26 @@ impl RoutingCache {
                 return view(self.memoize(src, Arc::new(self.compute_with_seed(graph, src))));
             }
         }
-        let ball = RoutingBall::compute(graph, src, radius);
+        let (ball, cut_km) = RoutingBall::walk(graph, src, radius, cut);
         if ball.radius == u32::MAX {
             return view(self.memoize(src, ball.tables));
         }
-        let computed = ball.tables;
+        let computed = BallEntry {
+            radius,
+            cut_km,
+            tables: ball.tables,
+        };
         let mut writer = self.balls.write().expect("cache lock poisoned");
-        let entry = writer
-            .entry(src.0)
-            .or_insert_with(|| (radius, Arc::clone(&computed)));
-        if entry.0 < radius {
-            *entry = (radius, computed);
-        }
-        view(Arc::clone(&entry.1))
+        let entry = match writer.entry(src.0) {
+            Entry::Occupied(mut held) => {
+                if !held.get().covers(&computed) {
+                    held.insert(computed);
+                }
+                held.into_mut()
+            }
+            Entry::Vacant(slot) => slot.insert(computed),
+        };
+        view(Arc::clone(&entry.tables))
     }
 
     /// [`SourceTables::compute`], except the BFS half is cloned from a
@@ -302,42 +364,6 @@ impl RoutingCache {
     /// How many pairwise hop queries were served from the reverse table.
     pub fn reverse_hits(&self) -> u64 {
         self.reverse_hits.load(Ordering::Relaxed)
-    }
-
-    /// Compute and memoize tables for every not-yet-cached source in
-    /// `sources`, batched through [`source_tables_many`] so one scratch
-    /// working set serves the whole sweep and the map's write lock is taken
-    /// once. Tables are bitwise identical to on-demand computation, so
-    /// warming can never change an answer.
-    pub fn warm(&self, graph: &IslGraph, sources: &[SatIndex]) {
-        let mut seen = HashSet::new();
-        let missing: Vec<SatIndex> = {
-            let reader = self.tables.read().expect("cache lock poisoned");
-            sources
-                .iter()
-                .copied()
-                .filter(|s| seen.insert(s.0) && !reader.contains_key(&s.0))
-                .collect()
-        };
-        if missing.is_empty() {
-            return;
-        }
-        CACHE_WARMED.add(missing.len() as u64);
-        let (seeded, unseeded): (Vec<SatIndex>, Vec<SatIndex>) = missing
-            .iter()
-            .copied()
-            .partition(|s| self.hop_seeds.contains_key(&s.0));
-        let computed = source_tables_many(graph, &unseeded);
-        let mut writer = self.tables.write().expect("cache lock poisoned");
-        for (src, (km, hops)) in unseeded.iter().zip(computed) {
-            writer
-                .entry(src.0)
-                .or_insert_with(|| Arc::new(SourceTables { km, hops }));
-        }
-        for src in seeded {
-            let tables = self.compute_with_seed(graph, src);
-            writer.entry(src.0).or_insert_with(|| Arc::new(tables));
-        }
     }
 
     /// Number of source satellites with memoized tables.
@@ -472,44 +498,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_matches_on_demand_tables() {
-        let c = Constellation::new(shells::starlink_shell1());
-        let mut faults = FaultPlan::none();
-        faults.fail_sat(SatIndex(123));
-        let g = IslGraph::build(&c, SimTime::from_secs(59), &faults);
-        let cache = RoutingCache::new();
-        // Duplicates and already-cached sources are both skipped.
-        cache.tables_for(&g, SatIndex(7));
-        let sources = [SatIndex(7), SatIndex(42), SatIndex(42), SatIndex(1000)];
-        cache.warm(&g, &sources);
-        assert_eq!(cache.cached_sources(), 3);
-        for src in [SatIndex(7), SatIndex(42), SatIndex(1000)] {
-            assert_eq!(*cache.tables_for(&g, src), SourceTables::compute(&g, src));
-        }
-        // Re-warming is a no-op.
-        cache.warm(&g, &sources);
-        assert_eq!(cache.cached_sources(), 3);
-    }
-
-    #[test]
     fn ball_lookups_follow_the_reuse_rule() {
         let g = graph();
         let cache = RoutingCache::new();
         let src = SatIndex(300);
         // A cached ball answers any radius up to its own.
-        let five = cache.ball_for(&g, src, 5);
-        let three = cache.ball_for(&g, src, 3);
+        let five = cache.ball_for(&g, src, 5, None);
+        let three = cache.ball_for(&g, src, 3, None);
         assert!(RoutingBall::ptr_eq(&five, &three));
         // A wider query replaces it, and then answers the narrower ones.
-        let ten = cache.ball_for(&g, src, 10);
+        let ten = cache.ball_for(&g, src, 10, None);
         assert!(!RoutingBall::ptr_eq(&five, &ten));
-        assert!(RoutingBall::ptr_eq(&ten, &cache.ball_for(&g, src, 5)));
+        assert!(RoutingBall::ptr_eq(&ten, &cache.ball_for(&g, src, 5, None)));
         assert_eq!(cache.balls.read().unwrap().len(), 1);
         // A cached full table answers any radius.
         let full = cache.tables_for(&g, src);
-        let twelve = cache.ball_for(&g, src, 12);
+        let twelve = cache.ball_for(&g, src, 12, None);
         assert!(RoutingBall::ptr_eq(&twelve, &RoutingBall::full(full)));
-        let direct = RoutingBall::compute(&g, src, 12);
+        let direct = RoutingBall::compute(&g, src, 12, None);
         for i in 0..g.len() as u32 {
             assert_eq!(twelve.hops(SatIndex(i)), direct.hops(SatIndex(i)));
             assert_eq!(twelve.km(SatIndex(i)), direct.km(SatIndex(i)));
@@ -519,13 +525,105 @@ mod tests {
         let small = Constellation::new(shells::test_shell());
         let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
         let cache = RoutingCache::new();
-        cache.ball_for(&small, SatIndex(7), 10);
+        cache.ball_for(&small, SatIndex(7), 10, None);
         assert_eq!(cache.cached_sources(), 1);
         assert!(cache.balls.read().unwrap().is_empty());
         assert_eq!(
             *cache.tables_for(&small, SatIndex(7)),
             SourceTables::compute(&small, SatIndex(7))
         );
+    }
+
+    #[test]
+    fn cut_balls_never_answer_uncut_queries() {
+        use spacecdn_geo::Latency;
+        let g = graph();
+        let src = SatIndex(700);
+        let full = SourceTables::compute(&g, src);
+        let cut = FallbackCut {
+            user_prop: Latency::from_ms(4.0),
+            fallback: Latency::from_ms(30.0),
+        };
+        let cache = RoutingCache::new();
+        let bounded = cache.ball_for(&g, src, 10, Some(cut));
+        // The cut dropped members, and kept every one it settled exact.
+        let (mut kept, mut dropped) = (0, 0);
+        for i in (0..g.len() as u32).filter(|&i| full.hops[i as usize] <= 10) {
+            if bounded.hops(SatIndex(i)) == u32::MAX {
+                assert!(cut.fires(full.km[i as usize].0));
+                dropped += 1;
+            } else {
+                assert_eq!(bounded.km(SatIndex(i)), full.km[i as usize]);
+                kept += 1;
+            }
+        }
+        assert!(kept > 1 && dropped > 0, "kept {kept}, dropped {dropped}");
+        // The same cut, or a tighter one, reads the cached ball.
+        let tighter = FallbackCut {
+            fallback: Latency::from_ms(20.0),
+            ..cut
+        };
+        assert!(RoutingBall::ptr_eq(
+            &bounded,
+            &cache.ball_for(&g, src, 10, Some(cut))
+        ));
+        assert!(RoutingBall::ptr_eq(
+            &bounded,
+            &cache.ball_for(&g, src, 7, Some(tighter))
+        ));
+        // Uncut queries on the same graph see unbounded, exact tables.
+        let uncut = cache.ball_for(&g, src, 10, None);
+        assert!(!RoutingBall::ptr_eq(&bounded, &uncut));
+        let direct = RoutingBall::compute(&g, src, 10, None);
+        for i in (0..g.len() as u32).map(SatIndex) {
+            assert_eq!(uncut.hops(i), direct.hops(i));
+            assert_eq!(uncut.km(i), direct.km(i));
+            let h = full.hops[i.as_usize()];
+            if h <= 10 {
+                assert_eq!(uncut.hops(i), h);
+                assert_eq!(uncut.km(i), full.km[i.as_usize()]);
+            }
+        }
+        // The uncut ball replaced the cut one, and answers a cut query.
+        assert!(RoutingBall::ptr_eq(
+            &uncut,
+            &cache.ball_for(&g, src, 10, Some(cut))
+        ));
+        assert_eq!(*cache.tables_for(&g, src), full);
+
+        // The same through the graph's own cache: a cut lookup first,
+        // then the ball and full-table lookups stay unbounded.
+        let bounded = g.routing_tables_cut(src, 10, cut);
+        assert!((0..g.len() as u32)
+            .any(|i| { full.hops[i as usize] <= 10 && bounded.hops(SatIndex(i)) == u32::MAX }));
+        let within = g.routing_tables_within(src, 10);
+        assert!((0..g.len() as u32).all(|i| {
+            let i = SatIndex(i);
+            within.hops(i) == direct.hops(i) && within.km(i) == direct.km(i)
+        }));
+        assert_eq!(*g.routing_tables(src), full);
+        // A wider or looser query recomputes; a cut that never fires keeps
+        // a whole-shell ball as the full tables.
+        let looser = FallbackCut {
+            fallback: Latency::from_ms(60.0),
+            ..cut
+        };
+        let cache = RoutingCache::new();
+        let narrow = cache.ball_for(&g, src, 10, Some(cut));
+        assert!(!RoutingBall::ptr_eq(
+            &narrow,
+            &cache.ball_for(&g, src, 10, Some(looser))
+        ));
+        let small = Constellation::new(shells::test_shell());
+        let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
+        let never = FallbackCut {
+            user_prop: Latency::from_ms(4.0),
+            fallback: Latency::from_ms(200.0),
+        };
+        let cache = RoutingCache::new();
+        cache.ball_for(&small, SatIndex(7), 10, Some(never));
+        assert_eq!(cache.cached_sources(), 1);
+        assert!(cache.balls.read().unwrap().is_empty());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! one scratch borrow and one frontier buffer across many sources.
 
 use crate::topology::IslGraph;
+use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{Km, Latency};
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
@@ -278,14 +279,15 @@ pub fn dijkstra(graph: &IslGraph, src: SatIndex, dst: SatIndex) -> Option<IslPat
 }
 
 /// The [`dijkstra_distances`] kernel against caller scratch and output.
-/// `stop` sees each satellite as it settles (its entry is then final)
-/// and ends the walk by returning true; the full kernel never stops.
+/// `stop` sees each satellite as it settles, with its (then final)
+/// `(km, hops)` entry, and ends the walk by returning true; the full
+/// kernel never stops.
 fn dijkstra_distances_with(
     s: &mut Scratch,
     graph: &IslGraph,
     src: SatIndex,
     out: &mut Vec<(f64, u32)>,
-    mut stop: impl FnMut(usize) -> bool,
+    mut stop: impl FnMut(usize, (f64, u32)) -> bool,
 ) {
     let n = graph.len();
     out.clear();
@@ -304,7 +306,7 @@ fn dijkstra_distances_with(
         if cost > out[sat].0 {
             continue;
         }
-        if stop(sat) {
+        if stop(sat, out[sat]) {
             break;
         }
         let hops = out[sat].1;
@@ -374,38 +376,77 @@ fn hop_distances_with(
     (reached, frontier.is_empty())
 }
 
+/// The ground-fallback stop rule of a bounded walk (see [`ball_tables`]):
+/// a satellite `km` kilometres of ISL away costs at least
+/// `user_prop + rt(km)` to fetch from — the user link's propagation
+/// round trip plus the ISL path's — and a fetch is served from space only
+/// when it beats `fallback`, so once that floor exceeds the fallback no
+/// satellite the walk has yet to settle can win. The test is evaluated
+/// with the same [`propagation_delay`] round trip and [`Latency`] adds
+/// the fetch is priced with, so it never disagrees with the pricing in
+/// the last bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FallbackCut {
+    /// The smallest user-link propagation round trip among the users the
+    /// walk serves.
+    pub user_prop: Latency,
+    /// The largest ground-fallback RTT among those users.
+    pub fallback: Latency,
+}
+
+impl FallbackCut {
+    /// True when a satellite `km` kilometres away can no longer beat the
+    /// fallback. Monotone in `km`.
+    #[inline]
+    pub fn fires(&self, km: f64) -> bool {
+        self.user_prop + propagation_delay(Km(km), Medium::Vacuum).round_trip() > self.fallback
+    }
+}
+
 /// The [`ball_tables`] kernel against caller scratch and outputs: the
 /// BFS out to level `radius`, then the full Dijkstra — over the whole
 /// graph, since a km-shortest path to a member may leave the ball — step
-/// for step until the last member settles. Settled entries are final, so
-/// every member's bits match a full run. Returns whether the ball holds
-/// the source's whole component.
+/// for step until the last member settles or `cut` fires on the next
+/// satellite to settle. Settled entries are final, so every settled
+/// member's bits match a full run; every other entry is reset to
+/// unreachable. Returns whether the BFS held the source's whole
+/// component, and the km at which the cut stopped the walk
+/// (`f64::INFINITY` when it never fired).
 fn ball_tables_with(
     s: &mut Scratch,
     graph: &IslGraph,
     src: SatIndex,
     radius: u32,
+    cut: Option<FallbackCut>,
     km: &mut Vec<(f64, u32)>,
     hops: &mut Vec<u32>,
-) -> bool {
+) -> (bool, f64) {
     let (members, whole) = hop_distances_with(s, graph, src, radius, hops);
     let mut unsettled = members;
-    dijkstra_distances_with(s, graph, src, km, |sat| {
+    let mut cut_km = f64::INFINITY;
+    dijkstra_distances_with(s, graph, src, km, |sat, (dist, _)| {
+        if cut.is_some_and(|c| c.fires(dist)) {
+            cut_km = dist;
+            return true;
+        }
         if hops[sat] != u32::MAX {
             unsettled -= 1;
         }
         unsettled == 0
     });
     // Tentative distances the walk left outside the ball read as
-    // unreachable, like every other non-member.
-    if members < km.len() {
-        for (entry, &h) in km.iter_mut().zip(hops.iter()) {
-            if h == u32::MAX {
+    // unreachable, like every other non-member. A cut leaves every
+    // unsettled satellite at or beyond the km it fired at (the heap pops
+    // in km order), and those read as non-members too.
+    if members < km.len() || cut_km.is_finite() {
+        for (entry, h) in km.iter_mut().zip(hops.iter_mut()) {
+            if *h == u32::MAX || entry.0 >= cut_km {
                 *entry = (f64::INFINITY, u32::MAX);
+                *h = u32::MAX;
             }
         }
     }
-    whole
+    (whole, cut_km)
 }
 
 /// Routing tables from `src` exact out to `radius` BFS hops: the
@@ -417,14 +458,56 @@ fn ball_tables_with(
 /// is true when the BFS ran out of satellites before level `radius`,
 /// which proves that case.
 ///
+/// With a `cut`, the walk also stops at the first satellite to settle
+/// whose [`FallbackCut::fires`] — members at or beyond that km then read
+/// as non-members too — and the last value is that km (`f64::INFINITY`
+/// when the cut never fired, and always without one). Only a ball the
+/// cut never stopped can be the full tables.
+///
 /// The BFS stops at level `radius` and the Dijkstra once every member has
 /// settled, so a ball costs a fraction of the full pair on a large
 /// shell; one that covers the whole graph costs the same.
-pub fn ball_tables(graph: &IslGraph, src: SatIndex, radius: u32) -> (RawSourceTables, bool) {
+pub fn ball_tables(
+    graph: &IslGraph,
+    src: SatIndex,
+    radius: u32,
+    cut: Option<FallbackCut>,
+) -> (RawSourceTables, bool, f64) {
     let mut km = Vec::new();
     let mut hops = Vec::new();
-    let whole = with_scratch(|s| ball_tables_with(s, graph, src, radius, &mut km, &mut hops));
-    ((km, hops), whole)
+    let (whole, cut_km) =
+        with_scratch(|s| ball_tables_with(s, graph, src, radius, cut, &mut km, &mut hops));
+    ((km, hops), whole, cut_km)
+}
+
+/// [`dijkstra_distances`] that `stop` may end early: it sees each
+/// satellite as it settles, with its final `(km, hops)` entry, and ends
+/// the walk by returning true. Every satellite that settled before that
+/// one holds its full-table entry bit for bit; the stopping satellite and
+/// every satellite at or beyond its km read as unreachable. A walk `stop`
+/// never ends is exactly [`dijkstra_distances`].
+pub fn dijkstra_distances_until(
+    graph: &IslGraph,
+    src: SatIndex,
+    mut stop: impl FnMut(SatIndex, (f64, u32)) -> bool,
+) -> Vec<(f64, u32)> {
+    let mut out = Vec::new();
+    let mut cut_km = f64::INFINITY;
+    with_scratch(|s| {
+        dijkstra_distances_with(s, graph, src, &mut out, |sat, entry| {
+            let stopped = stop(SatIndex(sat as u32), entry);
+            if stopped {
+                cut_km = entry.0;
+            }
+            stopped
+        })
+    });
+    if cut_km.is_finite() {
+        for entry in out.iter_mut().filter(|e| e.0 >= cut_km) {
+            *entry = (f64::INFINITY, u32::MAX);
+        }
+    }
+    out
 }
 
 /// Single-source shortest paths: for every satellite, the (kilometres,
@@ -441,7 +524,7 @@ pub fn dijkstra_distances(graph: &IslGraph, src: SatIndex) -> Vec<(f64, u32)> {
 /// [`dijkstra_distances`] writing into a caller-owned buffer (cleared and
 /// resized), so sweeps over many sources can recycle one allocation.
 pub fn dijkstra_distances_into(graph: &IslGraph, src: SatIndex, out: &mut Vec<(f64, u32)>) {
-    with_scratch(|s| dijkstra_distances_with(s, graph, src, out, |_| false));
+    with_scratch(|s| dijkstra_distances_with(s, graph, src, out, |_, _| false));
 }
 
 /// Hop distances (BFS levels) from `src` to every satellite; `u32::MAX`
@@ -479,25 +562,6 @@ pub fn hop_distances_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<Vec<u32
 /// One source's routing tables as raw vectors: the `(km, hop-count)`
 /// Dijkstra table and the BFS hop-level table.
 pub type RawSourceTables = (Vec<(f64, u32)>, Vec<u32>);
-
-/// Batched single-source tables: for each source, its
-/// ([`dijkstra_distances`], [`hop_distances`]) pair, computed under one
-/// scratch borrow. The cache-warming entry point
-/// ([`IslGraph::warm_routing_cache`]) drains this into the routing cache.
-pub fn source_tables_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<RawSourceTables> {
-    with_scratch(|s| {
-        sources
-            .iter()
-            .map(|&src| {
-                let mut km = Vec::new();
-                let mut hops = Vec::new();
-                dijkstra_distances_with(s, graph, src, &mut km, |_| false);
-                hop_distances_with(s, graph, src, u32::MAX, &mut hops);
-                (km, hops)
-            })
-            .collect()
-    })
-}
 
 /// Result of a successful [`repair_dijkstra_table`] call.
 #[derive(Debug, Clone)]
@@ -836,15 +900,8 @@ mod tests {
         let sources = [SatIndex(0), SatIndex(300), SatIndex(512), SatIndex(1583)];
 
         let hops_batch = hop_distances_many(&g, &sources);
-        let tables_batch = source_tables_many(&g, &sources);
         for (i, &src) in sources.iter().enumerate() {
             assert_eq!(hops_batch[i], hop_distances(&g, src), "hops for {src:?}");
-            assert_eq!(
-                tables_batch[i].0,
-                dijkstra_distances(&g, src),
-                "km for {src:?}"
-            );
-            assert_eq!(tables_batch[i].1, hops_batch[i], "bfs for {src:?}");
         }
     }
 

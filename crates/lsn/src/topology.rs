@@ -19,7 +19,7 @@
 
 use crate::cache::{routing_cache_enabled, RoutingBall, RoutingCache, SourceTables};
 use crate::fault::FaultPlan;
-use crate::routing::{hop_distances, repair_dijkstra_table};
+use crate::routing::{hop_distances, repair_dijkstra_table, FallbackCut};
 use crate::spatial::SpatialIndex;
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{Ecef, Geodetic, Km, Latency, SimTime};
@@ -732,12 +732,27 @@ impl IslGraph {
     /// as) the full tables, as is any ball that turns out to hold the
     /// source's whole component.
     pub fn routing_tables_within(&self, src: SatIndex, radius: u32) -> RoutingBall {
-        if radius as usize >= self.len() {
+        self.routing_ball(src, radius, None)
+    }
+
+    /// [`Self::routing_tables_within`], with the walk also stopped once
+    /// `cut` shows no unsettled satellite can beat the ground fallback:
+    /// exact for every member settled before that, unreachable beyond
+    /// (see [`crate::routing::ball_tables`]). For a caller that serves
+    /// from space only what beats the fallback, the dropped satellites
+    /// could never have served. Memoized under the same reuse rule; a cut
+    /// ball never answers an uncut query (see [`RoutingCache::ball_for`]).
+    pub fn routing_tables_cut(&self, src: SatIndex, radius: u32, cut: FallbackCut) -> RoutingBall {
+        self.routing_ball(src, radius, Some(cut))
+    }
+
+    fn routing_ball(&self, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> RoutingBall {
+        if radius as usize >= self.len() && cut.is_none() {
             RoutingBall::full(self.routing_tables(src))
         } else if routing_cache_enabled() {
-            self.cache.ball_for(self, src, radius)
+            self.cache.ball_for(self, src, radius, cut)
         } else {
-            RoutingBall::compute(self, src, radius)
+            RoutingBall::compute(self, src, radius, cut)
         }
     }
 
@@ -756,17 +771,6 @@ impl IslGraph {
             self.cache.hops_between(self, a, b)
         } else {
             crate::routing::hop_distances(self, a)[b.as_usize()]
-        }
-    }
-
-    /// Pre-compute and memoize routing tables for many sources in one
-    /// batch, reusing one scratch working set across all of them (the
-    /// frontier-reuse BFS/Dijkstra kernel). No-op when the routing cache is
-    /// disabled. Tables computed here are bitwise identical to on-demand
-    /// ones, so warming never changes results — only when the work happens.
-    pub fn warm_routing_cache(&self, sources: &[SatIndex]) {
-        if routing_cache_enabled() {
-            self.cache.warm(self, sources);
         }
     }
 
@@ -1005,7 +1009,9 @@ mod tests {
         let c = Constellation::new(shells::starlink_shell1());
         let g0 = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let sources = [SatIndex(0), SatIndex(700)];
-        g0.warm_routing_cache(&sources);
+        for &src in &sources {
+            g0.routing_tables(src);
+        }
         let mut faults = FaultPlan::none();
         faults.fail_gsl(SatIndex(50));
         let (g1, stats) = g0.apply_delta(&c, SimTime::EPOCH, &faults);
@@ -1030,7 +1036,9 @@ mod tests {
         let c = Constellation::new(shells::starlink_shell1());
         let g0 = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let sources = [SatIndex(3), SatIndex(911)];
-        g0.warm_routing_cache(&sources);
+        for &src in &sources {
+            g0.routing_tables(src);
+        }
         let mut faults = FaultPlan::none();
         faults.fail_sat(SatIndex(400));
         let (g1, stats) = g0.apply_delta(&c, SimTime::EPOCH, &faults);

@@ -366,7 +366,9 @@ proptest! {
         let time = SimTime::from_secs(t);
         let g1 = IslGraph::build(&c, time, &p1);
         let sources: Vec<SatIndex> = (0..c.len() as u32).step_by(3).map(SatIndex).collect();
-        g1.warm_routing_cache(&sources);
+        for &src in &sources {
+            g1.routing_tables(src);
+        }
         let (g2, _) = g1.apply_delta(&c, time, &p2);
         let fresh = IslGraph::build(&c, time, &p2);
         assert_graphs_identical(&g2, &fresh);
@@ -579,7 +581,7 @@ proptest! {
         let narrow = narrow.min(radius);
         for src in [SatIndex(0), SatIndex(n as u32 / 2), SatIndex(n as u32 - 1)] {
             let full = SourceTables::compute(&g, src);
-            let ((km, hops), whole) = ball_tables(&g, src, radius);
+            let ((km, hops), whole, _) = ball_tables(&g, src, radius, None);
             for i in 0..n {
                 if full.hops[i] <= radius {
                     prop_assert_eq!(hops[i], full.hops[i], "hops at {}", i);

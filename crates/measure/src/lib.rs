@@ -17,6 +17,8 @@
 //!   (Fig 7) and duty-cycled cache latencies (Fig 8);
 //! - [`traffic`] — the steady-state traffic campaign: request-driven cache
 //!   warm-up, hit ratio, origin offload and latency CDFs per duty fraction;
+//! - [`faults`] — the fault sweep's fetch loop, one record per fetch, and
+//!   its per-request escalation check;
 //! - [`report`] — plain-text/JSON emitters shared by the experiment
 //!   binaries.
 
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod aim;
+pub mod faults;
 pub mod geoblock;
 pub mod report;
 pub mod spacecdn;

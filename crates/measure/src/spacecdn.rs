@@ -8,8 +8,8 @@ use spacecdn_core::retrieval::{RetrievalRequest, RetrievalSource};
 use spacecdn_des::Percentiles;
 use spacecdn_engine::par_map;
 use spacecdn_geo::{DetRng, Latency, SimDuration, SimTime};
+use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::FaultSchedule;
-use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
 use spacecdn_terra::cdn::{anycast_select, cdn_sites};
 use spacecdn_terra::city::{cities, City};
@@ -23,6 +23,10 @@ static FIG8_TRIALS: LazyCounter = LazyCounter::stable("measure.fig8.trials");
 /// Fig 8 fetches that were *relayed* over ISLs to an active cache — the
 /// duty-cycling cost the figure measures (stable).
 static FIG8_RELAYS: LazyCounter = LazyCounter::stable("measure.fig8.relays");
+
+/// Figure 8's hop budget. Generous: with ≥30 % active a cache is
+/// adjacent.
+const FIG8_HOP_BUDGET: u32 = 12;
 
 /// Result of one hop-bound sweep point.
 #[derive(Debug)]
@@ -68,32 +72,29 @@ fn covered_city_sampler() -> Vec<&'static City> {
 /// Pre-warm one epoch snapshot's routing cache with every source its
 /// trials can touch: the overhead satellites of the sampler's cities
 /// (each trial routes from the requesting city's overhead satellite and
-/// nowhere else). Batched through the frontier-reuse kernel so one
-/// scratch working set serves the whole epoch. Warmed tables are bitwise
-/// identical to on-demand ones — this moves work, never changes results —
-/// and the call is a no-op when the routing cache is disabled.
-///
-/// The full tables are not wasted on fetches bounded to a few hops: every
-/// trial also prices its ground fallback with
-/// [`LsnSnapshot::starlink_rtt_to_pop`], which reads the full
-/// `routing_tables(nearest_alive(city))` — and `overhead_sat` *is*
-/// `nearest_alive`, so this warm is the parallel pre-build of exactly the
-/// tables the trials read.
-fn warm_epoch_sources(snap: &LsnSnapshot<'_>, pool: &[&'static City]) {
+/// nowhere else), as [`RoutingBall`](spacecdn_lsn::RoutingBall)s out to
+/// `radius`, the campaign's largest hop budget — every trial's table
+/// lookup is a ball at most that wide, which the warmed one answers. The
+/// ground-fallback pricing ([`LsnSnapshot::starlink_rtt_to_pop`]) runs
+/// its own bounded walk and reads no cached table. Warmed balls are
+/// bitwise identical to on-demand ones — this moves work, never changes
+/// results — and the call is a no-op when the routing cache is disabled.
+fn warm_epoch_sources(snap: &LsnSnapshot<'_>, pool: &[&'static City], radius: u32) {
+    if !routing_cache_enabled() {
+        return;
+    }
     let mut seen_city = HashSet::new();
     let mut seen_sat = HashSet::new();
-    let mut sources: Vec<SatIndex> = Vec::new();
     for city in pool {
         if !seen_city.insert(city.name) {
             continue;
         }
         if let Some((sat, _)) = snap.overhead_sat(city.position()) {
             if seen_sat.insert(sat.0) {
-                sources.push(sat);
+                snap.graph().routing_tables_within(sat, radius);
             }
         }
     }
-    snap.graph().warm_routing_cache(&sources);
 }
 
 /// Figure 7: fetch-latency distributions when content is found within
@@ -133,7 +134,10 @@ pub fn hop_bound_experiment(
             net.snapshot(t, &schedule.plan_at(t))
         })
         .collect();
-    par_map(&snapshots, |_, snap| warm_epoch_sources(snap, &pool));
+    let widest = hop_bounds.iter().copied().max().unwrap_or(0);
+    par_map(&snapshots, |_, snap| {
+        warm_epoch_sources(snap, &pool, widest)
+    });
 
     let mut tasks: Vec<(u32, usize)> = Vec::new();
     for &max_hops in hop_bounds {
@@ -248,7 +252,9 @@ pub fn duty_cycle_experiment(
             net.snapshot(t, &schedule.plan_at(t))
         })
         .collect();
-    par_map(&snapshots, |_, snap| warm_epoch_sources(snap, &pool));
+    par_map(&snapshots, |_, snap| {
+        warm_epoch_sources(snap, &pool, FIG8_HOP_BUDGET)
+    });
 
     let mut tasks: Vec<(f64, usize)> = Vec::new();
     for &fraction in fractions {
@@ -266,9 +272,8 @@ pub fn duty_cycle_experiment(
         let mut samples: Vec<f64> = Vec::new();
         for _ in 0..trials_per_fraction.div_ceil(epochs) {
             let city = *rng.choose(&pool).expect("pool non-empty");
-            // Generous budget: with ≥30 % active a cache is adjacent.
             let req = RetrievalRequest::new(city.position())
-                .hop_budget(12)
+                .hop_budget(FIG8_HOP_BUDGET)
                 .ground_fallback(fallback_rtt)
                 .graceful(false);
             FIG8_TRIALS.incr();

@@ -13,16 +13,14 @@ use spacecdn_core::network::LsnNetwork;
 use spacecdn_core::placement::PlacementSpec;
 use spacecdn_core::scenario::Scenario;
 use spacecdn_core::traffic::{
-    resolve_overheads, run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport,
-    TrafficSource,
+    run_traffic_multishell, PolicyKind, TrafficConfig, TrafficReport, TrafficSource,
 };
 use spacecdn_des::Percentiles;
 use spacecdn_engine::par_map;
 use spacecdn_geo::{Latency, SimDuration, SimTime};
-use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::{AccessModel, FaultSchedule};
 use spacecdn_orbit::{Constellation, MultiConstellation};
-use spacecdn_telemetry::LazyCounter;
+use spacecdn_telemetry::{LazyCounter, LazyHistogram, Unit};
 use spacecdn_terra::cdn::{anycast_select, cdn_sites};
 use spacecdn_terra::city::cities;
 use spacecdn_terra::fiber::FiberModel;
@@ -30,6 +28,12 @@ use spacecdn_terra::starlink::{covered_countries, home_pop};
 
 /// Campaign points produced (stable: fixed by the sweep parameters).
 static TRAFFIC_POINTS: LazyCounter = LazyCounter::stable("measure.traffic.points");
+
+/// Wall time of each [`covered_traffic_sources_from`] call — the epoch
+/// snapshots and every city's ground-fallback pricing (racy: a clock
+/// reading).
+static SOURCE_TABLE_NS: LazyHistogram =
+    LazyHistogram::racy("measure.traffic.source_table_ns", Unit::Nanos);
 
 /// Parameters of a traffic campaign sweep.
 #[derive(Debug, Clone)]
@@ -129,6 +133,7 @@ pub fn covered_traffic_sources_from(
     epochs: usize,
     epoch_step: SimDuration,
 ) -> Vec<TrafficSource> {
+    let _span = SOURCE_TABLE_NS.timer();
     let covered = covered_countries();
     let sites = cdn_sites();
     let epoch_times: Vec<SimTime> = (0..epochs)
@@ -143,20 +148,6 @@ pub fn covered_traffic_sources_from(
         .iter()
         .filter(|city| covered.contains(&city.cc))
         .collect();
-    // Every city's fallback RTT below routes from its overhead satellite
-    // through `starlink_rtt_to_pop`, which reads that satellite's full
-    // routing tables on every snapshot: build them into the routing cache
-    // up front, one task per distinct (snapshot, satellite), so the loop
-    // below finds them warm. These are also the pooled graphs the traffic
-    // engine's shell 0 freezes at the same instants, and a cached full
-    // table answers the engine's ladder-bounded lookups there too. Without
-    // the cache there is nothing to keep them in.
-    if routing_cache_enabled() {
-        let positions: Vec<_> = served.iter().map(|city| city.position()).collect();
-        let graphs: Vec<_> = snapshots.iter().map(|snap| snap.graph()).collect();
-        resolve_overheads(&graphs, &positions, u32::MAX);
-    }
-
     // The PoP leg (home PoP, then anycast to the nearest CDN site) is
     // epoch-independent: one per city, then one bent-pipe query per epoch.
     par_map(&served, |_, city| {

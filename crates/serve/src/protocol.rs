@@ -217,7 +217,7 @@ impl Command {
             "shutdown" => Ok(Command::Shutdown),
             "create" => {
                 let d = CreateArgs::default();
-                Ok(Command::Create(CreateArgs {
+                let args = CreateArgs {
                     session: str_field(&value, "session")?,
                     seed: u64_field(&value, "seed").unwrap_or(d.seed),
                     constellation: str_field(&value, "constellation").unwrap_or(d.constellation),
@@ -229,7 +229,17 @@ impl Command {
                     duty: f64_field(&value, "duty").unwrap_or(d.duty),
                     copies_per_plane: u64_field(&value, "copies_per_plane")
                         .map_or(d.copies_per_plane, |v| v as u32),
-                }))
+                };
+                if !(args.zipf_alpha.is_finite() && args.zipf_alpha >= 0.0) {
+                    return Err(format!(
+                        "zipf_alpha must be finite and non-negative, got {}",
+                        args.zipf_alpha
+                    ));
+                }
+                if !(0.0..=1.0).contains(&args.duty) {
+                    return Err(format!("duty must be in [0, 1], got {}", args.duty));
+                }
+                Ok(Command::Create(args))
             }
             "drop" => Ok(Command::Drop {
                 session: str_field(&value, "session")?,
@@ -238,11 +248,19 @@ impl Command {
                 session: str_field(&value, "session")?,
                 secs: u64_field(&value, "secs")?,
             }),
-            "fetch" => Ok(Command::Fetch {
-                session: str_field(&value, "session")?,
-                lat: f64_field(&value, "lat")?,
-                lon: f64_field(&value, "lon")?,
-            }),
+            "fetch" => {
+                let (lat, lon) = (f64_field(&value, "lat")?, f64_field(&value, "lon")?);
+                if !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon)) {
+                    return Err(format!(
+                        "lat must be in [-90, 90] and lon in [-180, 180], got {lat}, {lon}"
+                    ));
+                }
+                Ok(Command::Fetch {
+                    session: str_field(&value, "session")?,
+                    lat,
+                    lon,
+                })
+            }
             "traffic" => Ok(Command::Traffic {
                 session: str_field(&value, "session")?,
                 requests: u64_field(&value, "requests")?,

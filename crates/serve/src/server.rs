@@ -357,6 +357,9 @@ fn dispatch(line: &str, state: &State) -> String {
                 return err_response(&format!("no session {name:?}"));
             };
             let mut entry = entry.lock().unwrap_or_else(|e| e.into_inner());
+            if let Err(e) = entry.session.check(&cmd) {
+                return err_response(&e);
+            }
             if cmd.is_mutating() {
                 let clock = entry.session.clock().0;
                 if let Err(e) = entry.journal.record(clock, &cmd) {
@@ -381,17 +384,18 @@ fn create_session(args: CreateArgs, state: &State) -> String {
     if sessions.contains_key(&name) {
         return err_response(&format!("session {name:?} already exists"));
     }
+    // Build the session first: a create it rejects leaves no journal.
+    let session = match Session::create(args.clone()) {
+        Ok(s) => s,
+        Err(e) => return err_response(&e),
+    };
     let mut journal = match Journal::create(&state.journal_dir, &name) {
         Ok(j) => j,
         Err(e) => return err_response(&format!("journal create failed: {e}")),
     };
-    if let Err(e) = journal.record(0, &Command::Create(args.clone())) {
+    if let Err(e) = journal.record(0, &Command::Create(args)) {
         return err_response(&format!("journal write failed: {e}"));
     }
-    let session = match Session::create(args) {
-        Ok(s) => s,
-        Err(e) => return err_response(&e),
-    };
     let journal_path = journal.path().display().to_string();
     sessions.insert(
         name.clone(),

@@ -15,7 +15,7 @@
 //! property the journal/replay layer turns into a differential oracle for
 //! the whole daemon.
 
-use crate::protocol::{json_f64, json_str, CreateArgs};
+use crate::protocol::{json_f64, json_str, Command, CreateArgs};
 use spacecdn_core::network::LsnNetwork;
 use spacecdn_core::placement::{PlacementPlan, PlacementSpec, PlacementStrategy};
 use spacecdn_core::retrieval::FetchResult;
@@ -159,6 +159,21 @@ impl Session {
     /// Requests simulated so far (bursts + single fetches).
     pub fn requests(&self) -> u64 {
         self.traffic.requests + self.fetches
+    }
+
+    /// Reject a command this session cannot execute, before the server
+    /// journals it: an `advance` whose `secs` would carry the clock past
+    /// its `u64` nanosecond range.
+    ///
+    /// # Errors
+    /// A human-readable reason, echoed back as a protocol error.
+    pub fn check(&self, cmd: &Command) -> Result<(), String> {
+        if let Command::Advance { secs, .. } = cmd {
+            secs.checked_mul(1_000_000_000)
+                .and_then(|ns| self.clock.0.checked_add(ns))
+                .ok_or_else(|| format!("advance by {secs} s overflows the session clock"))?;
+        }
+        Ok(())
     }
 
     /// Move the clock forward by `secs`, firing any pending

@@ -91,6 +91,22 @@ impl Client {
         assert!(resp.starts_with("{\"ok\":true"), "command {line} -> {resp}");
         resp
     }
+
+    /// One request line out; its single response must be a rejection,
+    /// and the connection must stay healthy (the next line is answered
+    /// by exactly its own response, so no stray line was left behind).
+    fn rejected(&mut self, line: &str) -> String {
+        let resp = self.send(line);
+        assert!(
+            resp.starts_with("{\"ok\":false"),
+            "command {line} -> {resp}"
+        );
+        assert_eq!(
+            self.send("{\"op\":\"ping\"}"),
+            "{\"ok\":true,\"pong\":true}"
+        );
+        resp
+    }
 }
 
 /// The scripted session the replay contract is pinned against: create,
@@ -400,4 +416,113 @@ fn shutdown_command_returns_run_promptly() {
         elapsed < std::time::Duration::from_millis(150),
         "5 start-shutdown-join cycles took {elapsed:?}"
     );
+}
+
+#[test]
+fn create_with_invalid_zipf_alpha_or_duty_is_rejected_before_journaling() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("badcreate");
+    let mut c = daemon.client();
+    for field in [
+        "\"zipf_alpha\":-3",
+        "\"zipf_alpha\":1e999",
+        "\"duty\":1.5",
+        "\"duty\":-0.1",
+        "\"duty\":1e999",
+    ] {
+        let resp = c.rejected(&format!(
+            "{{\"op\":\"create\",\"session\":\"z\",\"constellation\":\"test\",{field}}}"
+        ));
+        assert!(!resp.contains("panic"), "{field} -> {resp}");
+        assert!(!daemon.journal("z").exists(), "{field} left a journal");
+    }
+    // The name is still free, and a valid session bursts normally.
+    c.ok("{\"op\":\"create\",\"session\":\"z\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2,\"zipf_alpha\":0,\"duty\":0}");
+    c.ok("{\"op\":\"traffic\",\"session\":\"z\",\"requests\":500}");
+    daemon.shutdown();
+}
+
+#[test]
+fn rejected_create_leaves_no_journal_file() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("nojournal");
+    let mut c = daemon.client();
+    let resp = c.rejected(
+        "{\"op\":\"create\",\"session\":\"s99\",\"constellation\":\"starlink\",\"shells\":[99]}",
+    );
+    assert!(resp.contains("shells"), "{resp}");
+    c.rejected("{\"op\":\"create\",\"session\":\"kuiper\",\"constellation\":\"kuiper\"}");
+    assert!(!daemon.journal("s99").exists());
+    assert!(!daemon.journal("kuiper").exists());
+    daemon.shutdown();
+}
+
+#[test]
+fn advance_that_would_overflow_the_clock_is_rejected() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("overflow");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"create\",\"session\":\"clk\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    c.rejected(&format!(
+        "{{\"op\":\"advance\",\"session\":\"clk\",\"secs\":{}}}",
+        u64::MAX
+    ));
+    c.ok("{\"op\":\"advance\",\"session\":\"clk\",\"secs\":10}");
+    // Fits alone (18446744073 s < 2^64 ns), overflows from t = 10 s.
+    c.rejected("{\"op\":\"advance\",\"session\":\"clk\",\"secs\":18446744073}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"clk\"}");
+    assert!(
+        live_report.contains("\"clock_ns\":10000000000,"),
+        "{live_report}"
+    );
+    // Nothing rejected reached the journal: it replays to the live report.
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("clk")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
+fn fetch_with_out_of_range_coordinates_is_rejected() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("badfetch");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"create\",\"session\":\"geo\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    for (lat, lon) in [
+        ("1000", "0"),
+        ("-90.5", "0"),
+        ("0", "180.5"),
+        ("0", "-1000"),
+        ("1e999", "0"),
+        ("0", "-1e999"),
+    ] {
+        c.rejected(&format!(
+            "{{\"op\":\"fetch\",\"session\":\"geo\",\"lat\":{lat},\"lon\":{lon}}}"
+        ));
+    }
+    c.ok("{\"op\":\"fetch\",\"session\":\"geo\",\"lat\":90,\"lon\":-180}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"geo\"}");
+    assert!(
+        live_report.contains("\"fetches\":{\"count\":1,"),
+        "{live_report}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn burst_phase_timers_are_readable_through_metrics() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("phases");
+    let mut c = daemon.client();
+    // A starlink session: its bursts build the covered-city source table.
+    c.ok("{\"op\":\"create\",\"session\":\"ph\",\"constellation\":\"starlink\",\"shells\":[0],\"catalog\":200,\"streams\":2}");
+    c.ok("{\"op\":\"traffic\",\"session\":\"ph\",\"requests\":200,\"epochs\":1}");
+    let metrics = c.ok("{\"op\":\"metrics\"}");
+    for name in [
+        "measure.traffic.source_table_ns",
+        "core.traffic.table_warm_ns",
+        "core.traffic.shard_fan_out_ns",
+    ] {
+        assert!(metrics.contains(name), "metrics op lacks {name}");
+    }
+    daemon.shutdown();
 }

@@ -125,15 +125,20 @@ fn fig7_sweep_identical_with_and_without_metrics() {
 fn table_timers_observe_without_perturbing() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     use spacecdn_suite::telemetry::{reset, set_metrics_override, snapshot};
-    // The routing-table layer timers (the traffic engine's per-burst
-    // table fan-out, each fetch's table lookup) are racy observers:
-    // outputs and Stable metrics are identical with telemetry off and on,
-    // and only the run with telemetry on records samples.
+    // The layer timers (the covered-city source table, the traffic
+    // engine's per-burst table fan-out and shard fan-out, each fetch's
+    // table lookup) are racy observers: outputs and Stable metrics are
+    // identical with telemetry off and on, and only the run with
+    // telemetry on records samples.
     let run = |enabled: bool| {
         set_metrics_override(Some(enabled));
         clear_graph_pool();
         reset();
-        let outputs = (traffic_fingerprint(), fig7_fingerprint());
+        let outputs = (
+            source_table_fingerprint(),
+            traffic_fingerprint(),
+            fig7_fingerprint(),
+        );
         let report = snapshot();
         let samples = |name: &str| {
             report
@@ -142,22 +147,27 @@ fn table_timers_observe_without_perturbing() {
                 .find(|h| h.name == name)
                 .map_or(0, |h| h.count)
         };
-        let timed = (
+        let timed = [
+            samples("measure.traffic.source_table_ns"),
             samples("core.traffic.table_warm_ns"),
+            samples("core.traffic.shard_fan_out_ns"),
             samples("core.retrieval.table_ns"),
-        );
+        ];
         (outputs, report.stable_fingerprint(), timed)
     };
     let off = run(false);
     let on = run(true);
     set_metrics_override(None);
     clear_graph_pool();
-    assert_eq!(off.0, on.0, "telemetry perturbs traffic or Fig-7 output");
+    assert_eq!(
+        off.0, on.0,
+        "telemetry perturbs source-table, traffic or Fig-7 output"
+    );
     assert_eq!(off.1, on.1, "telemetry perturbs Stable metrics");
-    assert_eq!(off.2, (0, 0), "timers recorded with telemetry off");
+    assert_eq!(off.2, [0; 4], "timers recorded with telemetry off");
     assert!(
-        on.2 .0 >= 1 && on.2 .1 >= 1,
-        "table timers recorded nothing: {:?}",
+        on.2.iter().all(|&n| n >= 1),
+        "layer timers recorded nothing: {:?}",
         on.2
     );
 }
@@ -252,6 +262,26 @@ fn report_fingerprint(r: &mut spacecdn_suite::prelude::TrafficReport) -> String 
 
 /// One full-constellation traffic-engine run, flattened by
 /// [`report_fingerprint`].
+/// Every covered city's per-epoch ground-fallback RTT bits, from the
+/// bounded fallback search.
+fn source_table_fingerprint() -> String {
+    use spacecdn_suite::prelude::{covered_traffic_sources, FaultSchedule, SimDuration};
+    let net = spacecdn_suite::core::network::LsnNetwork::starlink();
+    covered_traffic_sources(&net, &FaultSchedule::none(), 2, SimDuration::from_secs(157))
+        .iter()
+        .map(|s| {
+            format!(
+                "{:?}",
+                s.fallback_rtt
+                    .iter()
+                    .map(|r| r.0.to_bits())
+                    .collect::<Vec<_>>()
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(";")
+}
+
 fn traffic_fingerprint() -> String {
     use spacecdn_suite::prelude::{
         run_traffic_multishell, starlink_shell_scenarios, FaultSchedule, PolicyKind, TrafficConfig,

@@ -763,3 +763,108 @@ fn engine_matches_naive_scan_when_pairs_dwarf_requests() {
     assert!(expiries > 0, "no case expired a copy");
     assert!(space > 0, "no case served from space");
 }
+
+#[test]
+fn engine_matches_naive_scan_when_cohomed_sources_straddle_the_fallback_cut() {
+    // Each burst's routing walks stop once no unsettled satellite can beat
+    // the ground fallback, one walk per overhead satellite serving every
+    // source homed there, so the walk must be cut at the smallest
+    // user-link round trip and the largest fallback among them. Here the
+    // sources come in co-homed pairs (homed together at the first of two
+    // epochs) on the sparse test shell: one right under a satellite, one
+    // at the edge of that satellite's footprint, thousands of kilometres
+    // of slant apart. The near source's fallback
+    // sits a few ISL round trips above its own user link and the far
+    // one's barely above its own, so a cut priced with the far source's
+    // user link drops candidates the near source serves from, and one
+    // priced with the far source's fallback drops them too.
+    const CASES: usize = 6;
+    let mut rng = DetRng::new(0xC07, "placement-oracle/cohomed");
+    let (mut isl, mut pairs) = (0u64, 0usize);
+    for case in 0..CASES {
+        let configs = vec![shells::test_shell()];
+        let schedules = vec![FaultSchedule::none()];
+        let start = SimTime::from_secs(rng.index(6_000) as u64);
+        let graph = IslGraph::build(&Constellation::new(configs[0]), start, &Default::default());
+        let user_prop = |pos: Geodetic| {
+            let (sat, slant) = graph.nearest_alive(pos).expect("test shell serves");
+            (sat, propagation_delay(slant, Medium::Vacuum).round_trip())
+        };
+        let mut sources = Vec::new();
+        for _ in 0..16 {
+            let sat = SatIndex(rng.index(graph.len()) as u32);
+            let sub = graph.position(sat).to_geodetic();
+            let near = Geodetic::ground(sub.lat_deg, sub.lon_deg);
+            if user_prop(near).0 != sat {
+                continue;
+            }
+            // Walk away from the sub-satellite point until another
+            // satellite takes over; the last point still homed here is
+            // the far source.
+            let bearing = rng.uniform(0.0, std::f64::consts::TAU);
+            let mut far = near;
+            for step in 1..200 {
+                let d = 0.25 * step as f64;
+                let lat = sub.lat_deg + d * bearing.sin();
+                if lat.abs() > 85.0 {
+                    break;
+                }
+                let pos = Geodetic::ground(lat, sub.lon_deg + d * bearing.cos());
+                if user_prop(pos).0 != sat {
+                    break;
+                }
+                far = pos;
+            }
+            let (near_prop, far_prop) = (user_prop(near).1, user_prop(far).1);
+            pairs += 1;
+            // Both epochs at the first one's fallbacks: the walks on the
+            // final epoch are uncut anyway (the scenario stays there).
+            let near_fallback = near_prop + Latency::from_ms(rng.uniform(15.0, 45.0));
+            let far_fallback = far_prop + Latency::from_ms(rng.uniform(0.0, 4.0));
+            sources.push(TrafficSource {
+                position: near,
+                weight: 4,
+                fallback_rtt: vec![near_fallback; 2],
+            });
+            sources.push(TrafficSource {
+                position: far,
+                weight: 1,
+                fallback_rtt: vec![far_fallback; 2],
+            });
+        }
+        let budget = 40 + rng.index(80);
+        let spec = match case % 3 {
+            0 => PlacementSpec::parse(&format!("perplane-2:budget-{budget}:cap-8")),
+            1 => PlacementSpec::parse(&format!("rand-24:budget-{budget}:cap-8:coop")),
+            _ => PlacementSpec::parse(&format!("perplane-1:budget-{budget}:cap-8:coop")),
+        };
+        let cfg = TrafficConfig {
+            requests: 3_000,
+            streams: 1,
+            epochs: 2,
+            epoch_step: SimDuration::from_secs(157),
+            catalog_size: 24,
+            zipf_alpha: 0.9,
+            cache_bytes_per_sat: 1 << 40,
+            ttl: SimDuration::from_mins(1 << 20),
+            policy: PolicyKind::LruTtl,
+            // No pull-through fills: every request rides the ladder.
+            duty_fraction: 0.0,
+            duty_slot: SimDuration::from_mins(10),
+            escalation: vec![1, 3, 5, 10],
+            placement: spec,
+            seed: rng.index(1 << 30) as u64,
+            start,
+        };
+        let label = format!(
+            "co-homed case {case}: spec={} start={start:?} seed={}",
+            cfg.placement.map_or_else(|| "off".into(), |s| s.name()),
+            cfg.seed,
+        );
+        let (engine, naive) = engine_and_naive(&configs, &schedules, &sources, &cfg);
+        assert_eq!(engine, naive, "engine/naive divergence at {label}");
+        isl += engine.isl_hits;
+    }
+    assert!(pairs >= CASES * 8, "only {pairs} co-homed pairs");
+    assert!(isl > 0, "no case served over ISLs");
+}
