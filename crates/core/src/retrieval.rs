@@ -255,6 +255,7 @@ impl RetrievalRequest {
             "one cache set per shell required"
         );
         let mut best: Option<RetrievalOutcome> = None;
+        let mut best_space_rtt: Option<Latency> = None;
         let mut any_alive = false;
         for (graph, shell_caches) in shells.iter().zip(caches) {
             let fetched = self.walk_ladder(
@@ -265,6 +266,11 @@ impl RetrievalRequest {
                 false,
                 rng.as_deref_mut(),
             );
+            if let Some(rtt) = fetched.best_space_rtt {
+                if best_space_rtt.is_none_or(|b| rtt < b) {
+                    best_space_rtt = Some(rtt);
+                }
+            }
             let Some(out) = fetched.outcome else {
                 continue;
             };
@@ -284,6 +290,7 @@ impl RetrievalRequest {
                 outcome: Some(out),
                 attempts: 1,
                 degraded: None,
+                best_space_rtt,
             };
         }
         if any_alive {
@@ -291,12 +298,14 @@ impl RetrievalRequest {
                 outcome: Some(self.ground()),
                 attempts: 1,
                 degraded: Some(DegradeReason::BudgetExhausted),
+                best_space_rtt,
             };
         }
         FetchResult {
             outcome: self.graceful.then(|| self.ground()),
             attempts: 0,
             degraded: Some(DegradeReason::DeadZone),
+            best_space_rtt,
         }
     }
 
@@ -354,6 +363,7 @@ impl RetrievalRequest {
                 outcome: graceful.then(|| self.ground()),
                 attempts: 0,
                 degraded: Some(DegradeReason::DeadZone),
+                best_space_rtt: None,
             };
         };
         let mut sample_user_link = || match rng.as_deref_mut() {
@@ -384,6 +394,13 @@ impl RetrievalRequest {
                 .collect();
             (copies, ladder)
         };
+        // The cheapest copy's space segment: the widest rung admits every
+        // copy, so the loop below draws the user link before it returns
+        // whenever there is one.
+        let best_cost = copies
+            .iter()
+            .map(|&(_, _, cost)| cost)
+            .reduce(|a, b| if b < a { b } else { a });
 
         let mut attempts = 0u32;
         let mut any_in_budget = false;
@@ -430,6 +447,7 @@ impl RetrievalRequest {
                     }),
                     attempts,
                     degraded: None,
+                    best_space_rtt: best_cost.zip(user_link).map(|(c, u)| u + c),
                 };
             }
         }
@@ -459,6 +477,7 @@ impl RetrievalRequest {
             outcome: Some(self.ground()),
             attempts,
             degraded: Some(reason),
+            best_space_rtt: best_cost.zip(user_link).map(|(c, u)| u + c),
         }
     }
 }
@@ -477,6 +496,12 @@ pub struct FetchResult {
     /// `Some` when the fetch fell back to the ground cache (or found no
     /// service at all).
     pub degraded: Option<DegradeReason>,
+    /// RTT of the cheapest live copy within the widest hop budget, priced
+    /// like a served one (user link + space segment) whether or not it
+    /// beat the ground fallback; the cheapest over shells for
+    /// [`RetrievalRequest::execute_multishell`]. `None` when no copy was
+    /// within budget.
+    pub best_space_rtt: Option<Latency>,
 }
 
 impl FetchResult {

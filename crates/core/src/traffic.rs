@@ -29,17 +29,25 @@
 //! - **Batched retrieval per (epoch, source).** All requests a source
 //!   issues within one topology epoch share the same overhead satellite,
 //!   user-link geometry and routing tables per shell, on every shard. A
-//!   burst resolves each pair's `BatchGeo` once before the shards start
+//!   burst resolves each pair's geometry once before the shards start
 //!   ([`resolve_overheads`] warms the tables, one task per distinct
-//!   overhead satellite); shards only read it. The tables are
+//!   overhead satellite; the calling thread then assembles each pair's
+//!   `BatchGeo` and prices its candidates); shards only read it, and no
+//!   shard reads a routing table. The tables are
 //!   [`RoutingBall`]s out to the ladder's top rung — a holder beyond it
 //!   never wins a rung — whose walks also stop once no unsettled
 //!   satellite can beat the source's ground fallback (one that cannot
 //!   beat it never serves), memoized in each graph's routing cache under
-//!   its reuse rule (see [`spacecdn_lsn::cache`]). A shard keeps just a
-//!   `BatchCtx` per source it serves — the memo generation minted on
-//!   first touch and a request count — and thousands of requests reuse it
-//!   (`core.traffic.batch.*` telemetry tracks the amortization).
+//!   its reuse rule (see [`spacecdn_lsn::cache`]). From those tables the
+//!   burst prices every serving candidate once per (epoch, source): a
+//!   read-only `CandidateTable` holds a bitset over the burst's global
+//!   slots (with a per-word prefix count) and one `(base RTT, hops)`
+//!   entry per reachable slot, so a shard's candidate scan is one bit
+//!   test per holder, plus one packed read for the few inside the ball.
+//!   A shard keeps just a `BatchCtx` per source it serves — the memo
+//!   generation minted on first touch and a request count — and thousands
+//!   of requests reuse it (`core.traffic.batch.*` telemetry tracks the
+//!   amortization).
 //!
 //! # Determinism contract
 //!
@@ -100,8 +108,8 @@ static LATENCY_US: LazyHistogram = LazyHistogram::stable("core.traffic.latency_u
 /// each shard's deterministic event sequence, so the tallies are sums
 /// over shards and thread-count-invariant). `formed` counts contexts
 /// built — one per (source, epoch) pair a shard actually serves;
-/// `table_reuses` counts requests that reused an existing context's
-/// routing tables instead of re-resolving them.
+/// `table_reuses` counts requests that reused an existing context
+/// instead of forming one.
 static BATCHES_FORMED: LazyCounter = LazyCounter::stable("core.traffic.batch.formed");
 static BATCH_TABLE_REUSES: LazyCounter = LazyCounter::stable("core.traffic.batch.table_reuses");
 /// Requests amortized over each batch context, recorded at context
@@ -118,6 +126,11 @@ static CACHE_OCCUPANCY: LazyHistogram =
 /// search and the ladder-bounded table fan-out (racy: a clock reading).
 static TABLE_WARM_NS: LazyHistogram =
     LazyHistogram::racy("core.traffic.table_warm_ns", Unit::Nanos);
+
+/// Wall time of each burst's geometry assembly — every (epoch, source)
+/// [`BatchGeo`] and every epoch's candidate table, built from the
+/// [`resolve_overheads`] rows (racy: a clock reading).
+static GEOMETRY_NS: LazyHistogram = LazyHistogram::racy("core.traffic.geometry_ns", Unit::Nanos);
 
 /// Wall time of each burst's shard fan-out — every shard's simulation,
 /// from the first shard's set-up to the last shard's telemetry flush
@@ -470,21 +483,6 @@ fn fold_decision(digest: &mut u64, source: u32, slot: u32, hops: u32, rtt: Laten
 /// FNV-1a offset basis: each shard's digest starts here.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Per-shell retrieval geometry of one (epoch, source) batch: the
-/// overhead satellite (as a global slot), its user-link propagation
-/// round trip, and the routing tables rooted at it, out to the ladder's
-/// top rung and cut at the ground fallback (see [`resolve_overheads`]).
-struct ShellGeo {
-    overhead_slot: u32,
-    user_prop: Latency,
-    tables: RoutingBall,
-    /// Cooperative-lookup targets: the overhead satellite's live +Grid
-    /// neighbors as (global slot, full probe RTT = user link + two-way
-    /// edge propagation, no switching charge). Empty unless the placement
-    /// spec enables `coop`. At most four entries, scanned linearly.
-    neighbors: Vec<(u32, Latency)>,
-}
-
 /// Memoized candidate scan for one (source, rank): the tags deciding
 /// whether its per-rung bests (best base RTT with jitter excluded, hop
 /// count, and serving slot per escalation rung, stored in the
@@ -563,10 +561,16 @@ impl MemoArena {
 }
 
 /// Everything a source's requests share within one topology epoch, on
-/// every shard: resolved once per burst before the shards start, then
-/// read by all of them.
+/// every shard, besides its candidate costs (those live in the epoch's
+/// [`CandidateTable`]): resolved once per burst before the shards start,
+/// then read by all of them.
 struct BatchGeo {
-    shells: Vec<Option<ShellGeo>>,
+    /// Per shell, the cooperative-lookup targets: the overhead
+    /// satellite's live +Grid neighbors as (global slot, full probe RTT =
+    /// user link + two-way edge propagation, no switching charge). Empty
+    /// unless the placement spec enables `coop` and the shell has an
+    /// overhead satellite. At most four entries, scanned linearly.
+    neighbors: Vec<Vec<(u32, Latency)>>,
     /// Pull-through target: the overhead slot with the smallest slant
     /// range across shells (`None` in a total dead zone).
     fill: Option<u32>,
@@ -583,44 +587,179 @@ impl BatchGeo {
         coop: bool,
     ) -> BatchGeo {
         let mut fill: Option<(u32, f64)> = None;
-        let shells = graphs
+        let neighbors = graphs
             .iter()
             .zip(overheads)
-            .enumerate()
-            .map(|(k, (graph, row))| {
-                let o = row[si].as_ref()?;
-                let slot = shell_offsets[k] + o.sat.0;
+            .zip(shell_offsets)
+            .map(|((graph, row), &off)| {
+                let Some(o) = row[si].as_ref() else {
+                    return Vec::new();
+                };
                 if fill.is_none_or(|(_, s)| o.slant.0 < s) {
-                    fill = Some((slot, o.slant.0));
+                    fill = Some((off + o.sat.0, o.slant.0));
                 }
-                let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+                if !coop {
+                    return Vec::new();
+                }
                 // Cooperative probe targets: the CSR row already excludes
                 // dead neighbors and failed links, so every entry is a
                 // live one-hop fetch.
-                let neighbors = if coop {
-                    let (row, kms) = graph.neighbor_row(o.sat.0);
-                    row.iter()
-                        .zip(kms)
-                        .map(|(&nb, &km)| {
-                            (shell_offsets[k] + nb, user_prop + neighbor_probe_cost(km))
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                Some(ShellGeo {
-                    overhead_slot: slot,
-                    user_prop,
-                    tables: o.tables.clone(),
-                    neighbors,
-                })
+                let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+                let (row, kms) = graph.neighbor_row(o.sat.0);
+                row.iter()
+                    .zip(kms)
+                    .map(|(&nb, &km)| (off + nb, user_prop + neighbor_probe_cost(km)))
+                    .collect()
             })
             .collect();
         BatchGeo {
-            shells,
+            neighbors,
             fill: fill.map(|(slot, _)| slot),
         }
     }
+}
+
+/// One 64-slot word of a [`CandidateTable`] bitset.
+#[derive(Clone, Copy, Default)]
+struct SlotWord {
+    /// Bit `g % 64` is set iff global slot `g` is reachable.
+    bits: u64,
+    /// Position in the table's cost list of this word's first reachable
+    /// slot: the entries of every earlier source, plus the set bits of
+    /// this source's earlier words.
+    base: usize,
+}
+
+/// Every source's serving-candidate costs in one epoch, priced once per
+/// burst and read by every shard. Per source, a bitset over the burst's
+/// global slots marks the reachable ones, and the cost list holds one
+/// `(base RTT, hops)` entry per reachable slot, in slot order; a slot's
+/// entry sits at its word's `base` plus the set bits below it.
+///
+/// The entries are the rung-independent costs of the Figure 6 ladder: the
+/// overhead satellite at its user link's round trip and zero hops, any
+/// other satellite at `user_prop + space_segment_cost(km, route hops)`
+/// with its BFS hop level, both read from the source's [`RoutingBall`] in
+/// that shell. A slot is reachable iff its hop level and km are finite
+/// (inside the ball, which is cut at the source's ground fallback); a
+/// shell without an overhead satellite contributes nothing.
+struct CandidateTable {
+    /// Bitset words per source.
+    stride: usize,
+    /// `source × stride + g / 64` → the word holding slot `g`.
+    words: Vec<SlotWord>,
+    /// `(base RTT, hops)` of every reachable slot, source-major.
+    costs: Vec<(Latency, u32)>,
+}
+
+impl CandidateTable {
+    /// Price every source's candidates on one epoch's per-shell graphs
+    /// from their [`resolve_overheads`] rows.
+    fn build(
+        graphs: &[Arc<IslGraph>],
+        overheads: &[Vec<Option<Overhead>>],
+        sources: usize,
+        shell_offsets: &[u32],
+        access: &AccessModel,
+    ) -> CandidateTable {
+        // Every source homed on one satellite reads that satellite's ball,
+        // so each home's members are priced once, in slot order, as
+        // (global slot, hops, space-segment cost); a source then adds its
+        // own user link. The overhead satellite's segment is zero, and
+        // `user_prop + 0` is `user_prop` exactly.
+        let mut homes: Vec<(usize, SatIndex, usize)> = overheads
+            .iter()
+            .enumerate()
+            .flat_map(|(k, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter_map(move |(si, o)| Some((k, o.as_ref()?.sat, si)))
+            })
+            .collect();
+        homes.sort_unstable();
+        homes.dedup_by_key(|&mut (k, sat, _)| (k, sat));
+        let mut spans = Vec::with_capacity(homes.len() + 1);
+        let mut members: Vec<(u32, u32, Latency)> = Vec::new();
+        for &(k, sat, si) in &homes {
+            spans.push(members.len());
+            let ball = &overheads[k][si]
+                .as_ref()
+                .expect("a home is an overhead")
+                .tables;
+            for local in (0..graphs[k].len() as u32).map(SatIndex) {
+                let g = shell_offsets[k] + local.0;
+                if local == sat {
+                    members.push((g, 0, Latency::ZERO));
+                    continue;
+                }
+                let h = ball.hops(local);
+                if h == u32::MAX {
+                    continue;
+                }
+                let (dist_km, route_hops) = ball.km(local);
+                if dist_km.is_finite() {
+                    members.push((g, h, space_segment_cost(access, dist_km, route_hops)));
+                }
+            }
+        }
+        spans.push(members.len());
+        let home_of = |k: usize, o: &Overhead| {
+            let h = homes
+                .binary_search_by_key(&(k, o.sat), |&(k, sat, _)| (k, sat))
+                .expect("every overhead satellite is a home");
+            &members[spans[h]..spans[h + 1]]
+        };
+
+        let total_sats = graphs.iter().map(|g| g.len()).sum::<usize>();
+        let stride = total_sats.div_ceil(64);
+        let mut words = vec![SlotWord::default(); sources * stride];
+        let reachable = overheads
+            .iter()
+            .enumerate()
+            .flat_map(|(k, row)| row.iter().flatten().map(move |o| home_of(k, o).len()))
+            .sum();
+        let mut costs = Vec::with_capacity(reachable);
+        for si in 0..sources {
+            let row = &mut words[si * stride..(si + 1) * stride];
+            let mut base = costs.len();
+            for (k, per_shell) in overheads.iter().enumerate() {
+                let Some(o) = per_shell[si].as_ref() else {
+                    continue;
+                };
+                let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+                for &(g, hops, segment) in home_of(k, o) {
+                    row[g as usize / 64].bits |= 1 << (g % 64);
+                    costs.push((user_prop + segment, hops));
+                }
+            }
+            for w in row {
+                w.base = base;
+                base += w.bits.count_ones() as usize;
+            }
+        }
+        CandidateTable {
+            stride,
+            words,
+            costs,
+        }
+    }
+
+    /// `(base RTT, hops)` of global slot `g` as a candidate for source
+    /// `si`, or `None` when it cannot serve that source.
+    #[inline]
+    fn get(&self, si: usize, g: u32) -> Option<(Latency, u32)> {
+        let word = self.words[si * self.stride + (g / 64) as usize];
+        let bit = 1u64 << (g % 64);
+        (word.bits & bit != 0)
+            .then(|| self.costs[word.base + (word.bits & (bit - 1)).count_ones() as usize])
+    }
+}
+
+/// One epoch's share of a burst's geometry: every source's [`BatchGeo`]
+/// and the epoch's [`CandidateTable`].
+struct EpochGeo {
+    batches: Vec<BatchGeo>,
+    candidates: CandidateTable,
 }
 
 /// A shard's live batch for one source in the current epoch: the shared
@@ -646,7 +785,7 @@ struct ShardWorld<'a> {
     /// Shard-local rank → plan-pinned replica slots. Pinned copies live
     /// outside the policy fleet: they never evict, never expire, and
     /// survive outages (a dead pinned satellite is simply unreachable —
-    /// its routing-table hops are `u32::MAX` — until it returns). Folded
+    /// it has no candidate-table entry — until it returns). Folded
     /// into a memo only on rebuild, since the lists never change.
     pinned: Vec<Vec<u32>>,
     /// Cooperative +Grid neighbor lookup enabled (placement spec `coop`).
@@ -680,24 +819,6 @@ struct ShardWorld<'a> {
     /// Generation for the next batch context (starts at 1; 0 marks
     /// freshly appended memos).
     next_gen: u32,
-    /// Per-(source, candidate) cost cache, flat-indexed
-    /// `source × dense_cap + dense id` and tagged with the context
-    /// generation that computed it: `(gen, base RTT, hops)`, with
-    /// `hops == u32::MAX` meaning unreachable from that source. A
-    /// candidate's cost is rank-independent, so memo folds across all
-    /// ranks reuse the same warm entries instead of re-reading scattered
-    /// routing tables. Only slots that ever receive a pull-through fill
-    /// can hold content, so candidates get *dense* ids as fills first
-    /// touch them — at most one per (source, epoch) — keeping the whole
-    /// cache small enough to stay cache-resident.
-    slot_cost: Vec<(u32, Latency, u32)>,
-    /// Global slot → dense candidate id (`u16::MAX` = never filled).
-    dense_of: Vec<u16>,
-    /// Next dense id to assign; bounded by `dense_cap`.
-    next_dense: u16,
-    /// Dense id capacity: `sources × epochs`, the exact upper bound on
-    /// distinct fill targets.
-    dense_cap: usize,
     epoch: usize,
     report: TrafficReport,
     /// Batch contexts formed this shard (flushed to telemetry once).
@@ -713,8 +834,8 @@ struct ShardWorld<'a> {
     catalog: &'a Catalog,
     // Shared read-only context.
     graphs: &'a [Vec<Arc<IslGraph>>],
-    /// The burst's geometry, `[epoch][source]`.
-    geos: &'a [Vec<BatchGeo>],
+    /// The burst's geometry, per epoch.
+    geos: &'a [EpochGeo],
     shell_offsets: &'a [u32],
     shell_of: &'a [u8],
     sources: &'a [TrafficSource],
@@ -804,7 +925,11 @@ impl ShardWorld<'_> {
             }
         };
         let geos = self.geos;
-        let geo = &geos[self.epoch][si];
+        let EpochGeo {
+            batches,
+            candidates,
+        } = &geos[self.epoch];
+        let geo = &batches[si];
 
         let rank = a.rank as usize;
         let content = self.shard_ids[rank];
@@ -873,30 +998,9 @@ impl ShardWorld<'_> {
             for (i, &g) in pinned_part.iter().chain(tail.iter()).enumerate() {
                 let is_pinned = i < pinned_part.len();
                 let gstore = if is_pinned { g | PIN_FLAG } else { g };
-                let dense = self.dense_of[g as usize] as usize;
-                debug_assert_ne!(dense, u16::MAX as usize, "holder without a dense id");
-                let cached = &mut self.slot_cost[si * self.dense_cap + dense];
-                if cached.0 != gen {
-                    *cached = (gen, Latency::ZERO, u32::MAX);
-                    let shell = self.shell_of[g as usize] as usize;
-                    if let Some(sc) = geo.shells[shell].as_ref() {
-                        if g == sc.overhead_slot {
-                            *cached = (gen, sc.user_prop, 0);
-                        } else {
-                            let local = SatIndex(g - self.shell_offsets[shell]);
-                            let h = sc.tables.hops(local);
-                            let (dist_km, route_hops) = sc.tables.km(local);
-                            if h != u32::MAX && dist_km.is_finite() {
-                                let cost = space_segment_cost(self.access, dist_km, route_hops);
-                                *cached = (gen, sc.user_prop + cost, h);
-                            }
-                        }
-                    }
-                }
-                let (_, rtt, hops) = *cached;
-                if hops == u32::MAX {
+                let Some((rtt, hops)) = candidates.get(si, g) else {
                     continue;
-                }
+                };
                 if rungs0 == 1 {
                     // Cooperative rung: overhead at its ladder cost, a
                     // +Grid neighbor at probe cost (no switching charge).
@@ -904,12 +1008,10 @@ impl ShardWorld<'_> {
                         Some((rtt, 0u32))
                     } else {
                         let shell = self.shell_of[g as usize] as usize;
-                        geo.shells[shell].as_ref().and_then(|sc| {
-                            sc.neighbors
-                                .iter()
-                                .find(|&&(n, _)| n == g)
-                                .map(|&(_, probe)| (probe, 1))
-                        })
+                        geo.neighbors[shell]
+                            .iter()
+                            .find(|&&(n, _)| n == g)
+                            .map(|&(_, probe)| (probe, 1))
                     };
                     if let Some((crtt, chops)) = cand {
                         match bests[0] {
@@ -990,11 +1092,6 @@ impl ShardWorld<'_> {
                         self.report.inserts += 1;
                         let shell = self.shell_of[fill as usize] as usize;
                         self.report.per_shell[shell].inserts += 1;
-                        if self.dense_of[fill as usize] == u16::MAX {
-                            self.dense_of[fill as usize] = self.next_dense;
-                            self.next_dense += 1;
-                            debug_assert!((self.next_dense as usize) <= self.dense_cap);
-                        }
                         let hs = &mut self.holders[rank];
                         if !hs.contains(&fill) {
                             hs.push(fill);
@@ -1302,15 +1399,29 @@ fn run_shards(
             }
         })
     };
-    let geos: Vec<Vec<BatchGeo>> = graphs
-        .iter()
-        .zip(overheads.chunks(shells))
-        .map(|(epoch_graphs, per_shell)| {
-            (0..sources.len())
-                .map(|si| BatchGeo::new(epoch_graphs, per_shell, si, &shell_offsets, coop))
-                .collect()
-        })
-        .collect();
+    let access = scenarios[0].network().access();
+    // Built on this thread: the build reads every home's ball once and
+    // is a few percent of a burst, and tables allocated in fan-out
+    // workers and freed here left the next fetch measurably slower.
+    let geos: Vec<EpochGeo> = {
+        let _span = GEOMETRY_NS.timer();
+        graphs
+            .iter()
+            .zip(overheads.chunks(shells))
+            .map(|(epoch_graphs, per_shell)| EpochGeo {
+                batches: (0..sources.len())
+                    .map(|si| BatchGeo::new(epoch_graphs, per_shell, si, &shell_offsets, coop))
+                    .collect(),
+                candidates: CandidateTable::build(
+                    epoch_graphs,
+                    per_shell,
+                    sources.len(),
+                    &shell_offsets,
+                    access,
+                ),
+            })
+            .collect()
+    };
 
     let catalog = Catalog::generate(
         cfg.catalog_size,
@@ -1398,7 +1509,6 @@ fn run_shards(
     let duty = DutyCycler::new(cfg.duty_fraction, cfg.duty_slot, cfg.seed);
     let cache_bytes = (cfg.cache_bytes_per_sat / cfg.streams as u64).max(1);
     let horizon = cfg.start + cfg.epoch_step.mul(cfg.epochs as u64);
-    let access = scenarios[0].network().access();
 
     let _span = SHARD_FAN_OUT_NS.timer();
     par_map_indices(cfg.streams, |s| {
@@ -1421,30 +1531,12 @@ fn run_shards(
         let quota = cfg.requests / cfg.streams as u64
             + u64::from((s as u64) < cfg.requests % cfg.streams as u64);
 
-        // This shard's slice of the pinned plan, in shard-rank order, and
-        // dense candidate ids pre-assigned to every distinct pinned slot
-        // (pinned replicas are serving candidates from request one, before
-        // any pull-through fill would have minted their ids).
+        // This shard's slice of the pinned plan, in shard-rank order.
         let pinned: Vec<Vec<u32>> = if pinned_global.is_empty() {
             vec![Vec::new(); shard_ids.len()]
         } else {
             ranks.iter().map(|&r| pinned_global[r].clone()).collect()
         };
-        let mut dense_of = vec![u16::MAX; total_sats as usize];
-        let mut next_dense: u16 = 0;
-        for list in &pinned {
-            for &g in list {
-                if dense_of[g as usize] == u16::MAX {
-                    dense_of[g as usize] = next_dense;
-                    next_dense += 1;
-                }
-            }
-        }
-        let dense_cap = sources.len() * cfg.epochs + next_dense as usize;
-        assert!(
-            dense_cap < u16::MAX as usize,
-            "dense candidate ids must fit u16"
-        );
 
         let mut world = ShardWorld {
             service_rng: DetRng::new(cfg.seed, &format!("traffic/service/{s}")),
@@ -1471,10 +1563,6 @@ fn run_shards(
                 coop as usize + cfg.escalation.len(),
             ),
             next_gen: 1,
-            slot_cost: vec![(0, Latency::ZERO, u32::MAX); sources.len() * dense_cap],
-            dense_of,
-            next_dense,
-            dense_cap,
             epoch: 0,
             report: TrafficReport {
                 per_shell: vec![ShellTraffic::default(); shells],
@@ -1994,6 +2082,135 @@ mod tests {
             }
         }
         assert!(dropped > 0, "no fallback cut ever fired");
+    }
+
+    #[test]
+    fn candidate_tables_match_ball_reads() {
+        use spacecdn_lsn::FaultPlan;
+        // The deleted per-shard cost cache's reads, kept as the reference:
+        // the overhead satellite at its user link, any other satellite
+        // priced from its shell's ball, unreachable outside it.
+        fn reference(
+            row: &[Vec<Option<Overhead>>],
+            si: usize,
+            shell: usize,
+            local: SatIndex,
+            access: &AccessModel,
+        ) -> Option<(Latency, u32)> {
+            let o = row[shell][si].as_ref()?;
+            let user_prop = propagation_delay(o.slant, Medium::Vacuum).round_trip();
+            if local == o.sat {
+                return Some((user_prop, 0));
+            }
+            let h = o.tables.hops(local);
+            let (dist_km, route_hops) = o.tables.km(local);
+            (h != u32::MAX && dist_km.is_finite()).then(|| {
+                (
+                    user_prop + space_segment_cost(access, dist_km, route_hops),
+                    h,
+                )
+            })
+        }
+
+        let access = AccessModel::default();
+        let mut users: Vec<Geodetic> = test_sources(1).iter().map(|s| s.position).collect();
+        users.push(Geodetic::ground(40.41, -3.71));
+        users.push(Geodetic::ground(-60.0, 10.0));
+        // Fallbacks from 25 ms up cut the walks hard; an infinite one
+        // keeps the whole ball, as on a burst's final live graph.
+        let cut = |_: usize, ui: usize| Latency::from_ms(25.0 + 17.0 * ui as f64);
+        let uncut = |_: usize, _: usize| Latency(f64::INFINITY);
+        let shell1 = Constellation::new(shells::starlink_shell1());
+        let mut faults = FaultPlan::none();
+        faults.fail_random_sats(shell1.len(), 0.1, &mut DetRng::new(5, "cut"));
+        let small = Constellation::new(shells::test_shell());
+        // Two epochs of two shells each: Shell 1 with dead satellites
+        // (global slots first) and the 64-satellite test shell (last).
+        let epochs: Vec<Vec<Arc<IslGraph>>> = [0u64, 157]
+            .iter()
+            .map(|&t| {
+                vec![
+                    Arc::new(IslGraph::build(&shell1, SimTime::from_secs(t), &faults)),
+                    Arc::new(IslGraph::build(
+                        &small,
+                        SimTime::from_secs(t),
+                        &FaultPlan::none(),
+                    )),
+                ]
+            })
+            .collect();
+        let offsets = [0, shell1.len() as u32];
+        let (mut reachable, mut unreachable) = (0usize, 0usize);
+        for (graphs, fallback) in epochs
+            .iter()
+            .zip([&cut as &dyn Fn(usize, usize) -> Latency, &uncut])
+        {
+            for radius in [1, 10] {
+                let refs: Vec<&IslGraph> = graphs.iter().map(|g| &**g).collect();
+                let row = resolve_overheads(&refs, &users, radius, fallback);
+                let table = CandidateTable::build(graphs, &row, users.len(), &offsets, &access);
+                for si in 0..users.len() {
+                    for (shell, graph) in graphs.iter().enumerate() {
+                        for local in (0..graph.len() as u32).map(SatIndex) {
+                            let g = offsets[shell] + local.0;
+                            let want = reference(&row, si, shell, local, &access);
+                            let got = table.get(si, g);
+                            assert_eq!(
+                                got.map(|(rtt, h)| (rtt.ms().to_bits(), h)),
+                                want.map(|(rtt, h)| (rtt.ms().to_bits(), h)),
+                                "source {si}, slot {g}, radius {radius}"
+                            );
+                            match got {
+                                Some(_) => reachable += 1,
+                                None => unreachable += 1,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            reachable > 0 && unreachable > 0,
+            "{reachable} / {unreachable}"
+        );
+    }
+
+    #[test]
+    fn many_sources_times_epochs_complete() {
+        // 2,200 sources × 30 epochs = 66,000 (epoch, source) pairs, more
+        // than a u16 can count, on the 64-satellite test shell.
+        let epochs = 30;
+        let sources: Vec<TrafficSource> = (0..2_200)
+            .map(|i| TrafficSource {
+                position: Geodetic::ground(
+                    -50.0 + (i % 50) as f64 * 2.0,
+                    -180.0 + (i / 50) as f64 * 8.0,
+                ),
+                weight: 1,
+                fallback_rtt: vec![Latency::from_ms(140.0); epochs],
+            })
+            .collect();
+        let cfg = TrafficConfig {
+            requests: 400,
+            streams: 2,
+            epochs,
+            epoch_step: SimDuration::from_secs(20),
+            catalog_size: 200,
+            ..TrafficConfig::default()
+        };
+        let mut sc = Scenario::builder(LsnNetwork::new(
+            Constellation::new(shells::test_shell()),
+            Vec::new(),
+            AccessModel::default(),
+            FiberModel::default(),
+        ))
+        .build();
+        let report = run_traffic(&mut sc, &sources, &cfg);
+        assert_eq!(report.requests, cfg.requests);
+        assert_eq!(
+            report.overhead_hits + report.isl_hits + report.origin_fetches,
+            report.requests
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@ use spacecdn_engine::par_map;
 use spacecdn_geo::{DetRng, Latency, SimDuration, SimTime};
 use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::FaultSchedule;
+use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
 use spacecdn_terra::cdn::{anycast_select, cdn_sites};
 use spacecdn_terra::city::{cities, City};
@@ -41,6 +42,30 @@ pub struct HopBoundResult {
     pub ground_fallbacks: usize,
     /// Observed hop counts of satisfied requests.
     pub hop_histogram: Vec<u32>,
+    /// Every trial's outcome, epoch-major in draw order.
+    pub trials: Vec<Fig7Trial>,
+}
+
+/// One Figure 7 trial: who asked, and what each side of the Figure 6
+/// decision would have cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig7Trial {
+    /// Epoch index of the trial's snapshot.
+    pub epoch: usize,
+    /// The requesting city.
+    pub city: &'static str,
+    /// Seed of the trial's covering placement.
+    pub plan_seed: u64,
+    /// The city's overhead satellite (`None` in a dead zone).
+    pub overhead: Option<SatIndex>,
+    /// The cheapest copy within the hop budget, user link included,
+    /// whether or not it beat the ground (`None` when no copy was in
+    /// budget).
+    pub best_space_rtt: Option<Latency>,
+    /// The bent-pipe ground fallback the trial was priced against.
+    pub ground_rtt: Latency,
+    /// Served from space (otherwise from the ground).
+    pub space_served: bool,
 }
 
 /// Result of one duty-cycle sweep point.
@@ -153,6 +178,7 @@ pub fn hop_bound_experiment(
         let mut samples: Vec<f64> = Vec::new();
         let mut fallbacks = 0usize;
         let mut hops_seen: Vec<u32> = Vec::new();
+        let mut trials: Vec<Fig7Trial> = Vec::new();
         let mut rng = DetRng::new(seed, &format!("fig7/{max_hops}/{epoch}"));
         for _ in 0..trials_per_bound.div_ceil(epochs) {
             let city = *rng.choose(&pool).expect("pool non-empty");
@@ -179,10 +205,17 @@ pub fn hop_bound_experiment(
                 .ground_fallback(fallback)
                 .graceful(false);
             FIG7_TRIALS.incr();
-            let Some(out) = req
-                .execute(snap.graph(), net.access(), &caches, Some(&mut rng))
-                .outcome
-            else {
+            let fetched = req.execute(snap.graph(), net.access(), &caches, Some(&mut rng));
+            trials.push(Fig7Trial {
+                epoch,
+                city: city.name,
+                plan_seed,
+                overhead: snap.overhead_sat(city.position()).map(|(sat, _)| sat),
+                best_space_rtt: fetched.best_space_rtt,
+                ground_rtt: fallback,
+                space_served: fetched.space_hit(),
+            });
+            let Some(out) = fetched.outcome else {
                 // Dead zone under the fault schedule: no satellite serves
                 // the city at all, so the request rides the ground path.
                 fallbacks += 1;
@@ -200,7 +233,7 @@ pub fn hop_bound_experiment(
                 }
             }
         }
-        (samples, fallbacks, hops_seen)
+        (samples, fallbacks, hops_seen, trials)
     });
 
     // Reassemble per bound in task order (epoch-minor), matching the
@@ -210,21 +243,73 @@ pub fn hop_bound_experiment(
         let mut latencies = Percentiles::new();
         let mut fallbacks = 0usize;
         let mut hops_seen = Vec::new();
-        for (samples, f, hops) in &per_task[b * epochs..(b + 1) * epochs] {
+        let mut trials = Vec::new();
+        for (samples, f, hops, t) in &per_task[b * epochs..(b + 1) * epochs] {
             for &s in samples {
                 latencies.add(s);
             }
             fallbacks += f;
             hops_seen.extend_from_slice(hops);
+            trials.extend_from_slice(t);
         }
         results.push(HopBoundResult {
             max_hops,
             latencies,
             ground_fallbacks: fallbacks,
             hop_histogram: hops_seen,
+            trials,
         });
     }
     results
+}
+
+/// Indices of the trials in which a side of the Figure 6 decision got
+/// cheaper under `heavier` satellite kills than under `lighter` ones —
+/// empty whenever `heavier`'s dead set extends `lighter`'s.
+///
+/// Only trials that drew the same city and placement at the same epoch
+/// and kept the same overhead satellite are compared (a trial's jitter
+/// draw is lazy, so the two runs' streams can drift apart, and a re-homed
+/// user starts from a new neighbourhood). For those, killing satellites
+/// only removes copies and routes: the ground fallback never falls, a
+/// best space RTT never falls, and a space copy never appears from
+/// nothing. The served side may still flip either way — a kill can raise
+/// the bent-pipe fallback past the space path, so a faulted trial can be
+/// served from space where the pristine one fell back to the ground.
+///
+/// # Panics
+/// Panics when the two runs resolved different numbers of trials.
+pub fn fig7_cheapened_trials(lighter: &[Fig7Trial], heavier: &[Fig7Trial]) -> Vec<usize> {
+    assert_eq!(
+        lighter.len(),
+        heavier.len(),
+        "runs must pair trial for trial"
+    );
+    lighter
+        .iter()
+        .zip(heavier)
+        .enumerate()
+        .filter(|(_, (a, b))| {
+            same_fig7_draw(a, b)
+                && (b.ground_rtt < a.ground_rtt
+                    || match (a.best_space_rtt, b.best_space_rtt) {
+                        (Some(ra), Some(rb)) => rb < ra,
+                        (None, Some(_)) => true,
+                        _ => false,
+                    })
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Did two runs' trials draw the same city and placement at the same
+/// epoch from the same overhead satellite?
+pub fn same_fig7_draw(a: &Fig7Trial, b: &Fig7Trial) -> bool {
+    a.epoch == b.epoch
+        && a.city == b.city
+        && a.plan_seed == b.plan_seed
+        && a.overhead.is_some()
+        && a.overhead == b.overhead
 }
 
 /// Figure 8: fetch latencies when only `fraction` of the fleet caches at a

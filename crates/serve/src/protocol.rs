@@ -261,12 +261,17 @@ impl Command {
                     lon,
                 })
             }
-            "traffic" => Ok(Command::Traffic {
-                session: str_field(&value, "session")?,
-                requests: u64_field(&value, "requests")?,
-                epochs: u64_field(&value, "epochs").unwrap_or(1) as u32,
-                epoch_step_secs: u64_field(&value, "epoch_step_secs").unwrap_or(157),
-            }),
+            "traffic" => {
+                let epochs = u64_field(&value, "epochs").unwrap_or(1);
+                let epochs = u32::try_from(epochs)
+                    .map_err(|_| format!("epochs must be at most {}, got {epochs}", u32::MAX))?;
+                Ok(Command::Traffic {
+                    session: str_field(&value, "session")?,
+                    requests: u64_field(&value, "requests")?,
+                    epochs,
+                    epoch_step_secs: u64_field(&value, "epoch_step_secs").unwrap_or(157),
+                })
+            }
             "fault" => Ok(Command::Fault {
                 session: str_field(&value, "session")?,
                 sats: u32s_field(&value, "sats")?,

@@ -162,16 +162,36 @@ impl Session {
     }
 
     /// Reject a command this session cannot execute, before the server
-    /// journals it: an `advance` whose `secs` would carry the clock past
-    /// its `u64` nanosecond range.
+    /// journals it: an `advance` whose `secs`, or a `traffic` burst whose
+    /// `epochs × epoch_step_secs` (each at least 1, as [`Self::traffic`]
+    /// runs them), would carry the clock past its `u64` nanosecond range.
     ///
     /// # Errors
     /// A human-readable reason, echoed back as a protocol error.
     pub fn check(&self, cmd: &Command) -> Result<(), String> {
-        if let Command::Advance { secs, .. } = cmd {
-            secs.checked_mul(1_000_000_000)
-                .and_then(|ns| self.clock.0.checked_add(ns))
-                .ok_or_else(|| format!("advance by {secs} s overflows the session clock"))?;
+        match *cmd {
+            Command::Advance { secs, .. } => {
+                secs.checked_mul(1_000_000_000)
+                    .and_then(|ns| self.clock.0.checked_add(ns))
+                    .ok_or_else(|| format!("advance by {secs} s overflows the session clock"))?;
+            }
+            Command::Traffic {
+                epochs,
+                epoch_step_secs,
+                ..
+            } => {
+                epoch_step_secs
+                    .max(1)
+                    .checked_mul(1_000_000_000)
+                    .and_then(|ns| ns.checked_mul(u64::from(epochs.max(1))))
+                    .and_then(|ns| self.clock.0.checked_add(ns))
+                    .ok_or_else(|| {
+                        format!(
+                            "a burst of {epochs} epochs of {epoch_step_secs} s overflows the session clock"
+                        )
+                    })?;
+            }
+            _ => {}
         }
         Ok(())
     }

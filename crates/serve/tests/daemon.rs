@@ -482,6 +482,51 @@ fn advance_that_would_overflow_the_clock_is_rejected() {
 }
 
 #[test]
+fn traffic_with_epochs_beyond_u32_is_rejected() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("epochs");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"create\",\"session\":\"ep\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    // 2^32 + 1 would truncate to one epoch.
+    let resp = c.rejected(&format!(
+        "{{\"op\":\"traffic\",\"session\":\"ep\",\"requests\":100,\"epochs\":{}}}",
+        u64::from(u32::MAX) + 2
+    ));
+    assert!(resp.contains("epochs"), "{resp}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"ep\"}");
+    assert!(live_report.contains("\"bursts\":0,"), "{live_report}");
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("ep")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
+fn traffic_that_would_overflow_the_clock_is_rejected() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("trafficclk");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"create\",\"session\":\"tc\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    c.rejected(&format!(
+        "{{\"op\":\"traffic\",\"session\":\"tc\",\"requests\":100,\"epochs\":{},\"epoch_step_secs\":{}}}",
+        u32::MAX,
+        u64::MAX
+    ));
+    c.ok("{\"op\":\"advance\",\"session\":\"tc\",\"secs\":10}");
+    // Fits alone (2 × 9223372036 s < 2^64 ns), overflows from t = 10 s.
+    c.rejected("{\"op\":\"traffic\",\"session\":\"tc\",\"requests\":100,\"epochs\":2,\"epoch_step_secs\":9223372036}");
+    c.ok("{\"op\":\"traffic\",\"session\":\"tc\",\"requests\":100,\"epochs\":1,\"epoch_step_secs\":60}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"tc\"}");
+    assert!(
+        live_report.contains("\"clock_ns\":70000000000,"),
+        "{live_report}"
+    );
+    // Nothing rejected reached the journal: it replays to the live report.
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("tc")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
 fn fetch_with_out_of_range_coordinates_is_rejected() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let daemon = start_daemon("badfetch");
@@ -520,6 +565,7 @@ fn burst_phase_timers_are_readable_through_metrics() {
     for name in [
         "measure.traffic.source_table_ns",
         "core.traffic.table_warm_ns",
+        "core.traffic.geometry_ns",
         "core.traffic.shard_fan_out_ns",
     ] {
         assert!(metrics.contains(name), "metrics op lacks {name}");

@@ -126,8 +126,8 @@ fn table_timers_observe_without_perturbing() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     use spacecdn_suite::telemetry::{reset, set_metrics_override, snapshot};
     // The layer timers (the covered-city source table, the traffic
-    // engine's per-burst table fan-out and shard fan-out, each fetch's
-    // table lookup) are racy observers: outputs and Stable metrics are
+    // engine's per-burst table fan-out, geometry assembly and shard
+    // fan-out, each fetch's table lookup) are racy observers: outputs and Stable metrics are
     // identical with telemetry off and on, and only the run with
     // telemetry on records samples.
     let run = |enabled: bool| {
@@ -150,6 +150,7 @@ fn table_timers_observe_without_perturbing() {
         let timed = [
             samples("measure.traffic.source_table_ns"),
             samples("core.traffic.table_warm_ns"),
+            samples("core.traffic.geometry_ns"),
             samples("core.traffic.shard_fan_out_ns"),
             samples("core.retrieval.table_ns"),
         ];
@@ -164,7 +165,7 @@ fn table_timers_observe_without_perturbing() {
         "telemetry perturbs source-table, traffic or Fig-7 output"
     );
     assert_eq!(off.1, on.1, "telemetry perturbs Stable metrics");
-    assert_eq!(off.2, [0; 4], "timers recorded with telemetry off");
+    assert_eq!(off.2, [0; 5], "timers recorded with telemetry off");
     assert!(
         on.2.iter().all(|&n| n >= 1),
         "layer timers recorded nothing: {:?}",
