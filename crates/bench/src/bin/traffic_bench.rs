@@ -3,7 +3,9 @@
 //! per-satellite LRU+TTL caches across every configured Starlink shell,
 //! swept across thermal duty-cycle fractions. Reports sustained
 //! requests/sec, peak resident memory, cache hit ratio, origin offload,
-//! per-shell breakdowns and the fetch-latency CDF per fraction.
+//! per-shell breakdowns and the fetch-latency CDF per fraction, plus the
+//! per-burst split of the burst geometry layer read from its racy phase
+//! timers (source table, table warm, geometry assembly, shard fan-out).
 //!
 //! Flags: `--quick` (CI-sized run), `--shells all|0,1,...` (which
 //! Starlink 2024 shells to simulate; default all four), `--requests N`
@@ -14,16 +16,28 @@
 use serde::Serialize;
 use spacecdn_bench::{banner, quick_mode, results_dir};
 use spacecdn_core::delta_stats;
+use spacecdn_des::Percentiles;
 use spacecdn_engine::peak_rss_bytes;
 use spacecdn_geo::SimDuration;
 use spacecdn_measure::report::{format_table, write_json};
-use spacecdn_suite::prelude::{traffic_campaign, FaultSchedule, TrafficCampaignConfig};
+use spacecdn_measure::traffic::traffic_campaign_each;
+use spacecdn_suite::prelude::{FaultSchedule, TrafficCampaignConfig};
+use spacecdn_telemetry::metrics_enabled;
 use std::time::Instant;
 
 /// Schema tag: v2 added `shells`, `per_shell` rows, `requests_per_fraction`
 /// and `peak_rss_bytes`; v3 added `epoch_step_s` and the `advance` block
-/// (delta-vs-full epoch advancement counts and per-step advance time).
-const SCHEMA: &str = "spacecdn-traffic-v3";
+/// (delta-vs-full epoch advancement counts and per-step advance time); v4
+/// added the `phases` block (per-burst medians of the burst phase timers).
+const SCHEMA: &str = "spacecdn-traffic-v4";
+
+/// The racy phase timers of a traffic burst, in [`PhaseTimes`] order.
+const PHASE_TIMERS: [&str; 4] = [
+    "measure.traffic.source_table_ns",
+    "core.traffic.table_warm_ns",
+    "core.traffic.geometry_ns",
+    "core.traffic.shard_fan_out_ns",
+];
 
 #[derive(Serialize)]
 struct ShellRow {
@@ -65,6 +79,32 @@ struct AdvanceStats {
     delta_advance_mean_us: f64,
 }
 
+/// Per-burst medians of the burst phase timers, in milliseconds. The
+/// campaign builds its source table once and reuses it for every duty
+/// fraction's burst, so `source_table_ms` is the mean over its
+/// `source_table_builds` builds; the other three time every burst.
+#[derive(Serialize)]
+struct PhaseTimes {
+    bursts: usize,
+    source_table_builds: u64,
+    source_table_ms: f64,
+    table_warm_ms: f64,
+    geometry_ms: f64,
+    shard_fan_out_ms: f64,
+}
+
+/// `(sample count, sum in ns)` of each [`PHASE_TIMERS`] histogram so far.
+fn phase_totals() -> [(u64, u64); 4] {
+    let report = spacecdn_telemetry::snapshot();
+    PHASE_TIMERS.map(|name| {
+        report
+            .histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map_or((0, 0), |h| (h.count, h.sum))
+    })
+}
+
 #[derive(Serialize)]
 struct TrafficBench {
     schema: &'static str,
@@ -79,6 +119,8 @@ struct TrafficBench {
     requests_per_sec: f64,
     peak_rss_bytes: Option<u64>,
     advance: AdvanceStats,
+    /// `None` when telemetry is off (the timers then record nothing).
+    phases: Option<PhaseTimes>,
     fractions: Vec<FractionRow>,
 }
 
@@ -155,9 +197,37 @@ fn main() {
     );
 
     let advance_before = delta_stats();
+    // Per-burst phase samples: each burst's timer sums since the last one.
+    // The source table is built before the first burst, so its builds are
+    // read from the whole campaign's delta instead.
+    let phases_before = phase_totals();
+    let mut last = phases_before;
+    let mut per_burst: [Percentiles; 3] = Default::default();
     let t0 = Instant::now();
-    let points = traffic_campaign(&cfg, &FaultSchedule::none());
+    let points = traffic_campaign_each(&cfg, &FaultSchedule::none(), |_| {
+        let now = phase_totals();
+        for (i, samples) in per_burst.iter_mut().enumerate() {
+            samples.add((now[i + 1].1 - last[i + 1].1) as f64 / 1e6);
+        }
+        last = now;
+    });
     let wall_s = t0.elapsed().as_secs_f64();
+    let (table_builds, table_ns) = (
+        last[0].0 - phases_before[0].0,
+        last[0].1 - phases_before[0].1,
+    );
+    let phases = metrics_enabled().then(|| {
+        let [warm, geometry, fan_out] =
+            per_burst.each_mut().map(|p| p.median().unwrap_or(f64::NAN));
+        PhaseTimes {
+            bursts: per_burst[0].len(),
+            source_table_builds: table_builds,
+            source_table_ms: table_ns as f64 / 1e6 / table_builds.max(1) as f64,
+            table_warm_ms: warm,
+            geometry_ms: geometry,
+            shard_fan_out_ms: fan_out,
+        }
+    });
     let advance_after = delta_stats();
     let total_requests: u64 = points.iter().map(|p| p.report.requests).sum();
     let requests_per_sec = total_requests as f64 / wall_s;
@@ -262,6 +332,20 @@ fn main() {
         advance.repaired_vertices,
         advance.full_fallbacks
     );
+    match &phases {
+        Some(p) => println!(
+            "burst phases (median of {} bursts): table warm {:.1} ms · geometry {:.1} ms · \
+             shard fan-out {:.1} ms; source table {:.1} ms ({} build{})",
+            p.bursts,
+            p.table_warm_ms,
+            p.geometry_ms,
+            p.shard_fan_out_ms,
+            p.source_table_ms,
+            p.source_table_builds,
+            if p.source_table_builds == 1 { "" } else { "s" }
+        ),
+        None => println!("burst phases: telemetry off (SPACECDN_METRICS=0), not timed"),
+    }
     let peak_rss = peak_rss_bytes();
     println!("{total_requests} requests in {wall_s:.2} s — {requests_per_sec:.0} req/s sustained");
     if let Some(rss) = peak_rss {
@@ -286,6 +370,7 @@ fn main() {
             requests_per_sec,
             peak_rss_bytes: peak_rss,
             advance,
+            phases,
             fractions,
         },
     )

@@ -16,14 +16,15 @@
 use spacecdn_engine::{snapshot_pool_enabled, SnapshotKey, SnapshotPool};
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency, SimTime};
-use spacecdn_lsn::{dijkstra_distances_until, AccessModel, FaultPlan, IslGraph};
+use spacecdn_lsn::{dijkstra_walk, AccessModel, FaultPlan, IslGraph};
 use spacecdn_orbit::{Constellation, SatIndex};
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, Unit};
 use spacecdn_terra::fiber::FiberModel;
 use spacecdn_terra::region::Region;
 use spacecdn_terra::starlink::{gateways, home_pop, Gateway, StarlinkPop};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Snapshots frozen through [`LsnNetwork::snapshot`] (stable: campaigns
 /// freeze a deterministic epoch sequence regardless of thread count; how
@@ -161,6 +162,17 @@ pub struct LsnNetwork {
     gateways: Vec<Gateway>,
     access: AccessModel,
     fiber: FiberModel,
+    /// Per PoP (keyed by its host city's address), the fibre leg from
+    /// every gateway to it: epoch-independent, so built once per PoP.
+    pop_legs: RwLock<HashMap<usize, Arc<PopLegs>>>,
+}
+
+/// The terrestrial half of every bent pipe to one PoP.
+struct PopLegs {
+    /// Per gateway, in gateway order, the fibre RTT from it to the PoP.
+    fiber: Vec<Latency>,
+    /// The cheapest of them: a floor on the fibre leg of any path.
+    min: Latency,
 }
 
 /// A time-frozen view with precomputed gateway serving satellites.
@@ -179,9 +191,9 @@ pub struct LsnSnapshot<'a> {
 /// Where each satellite can come down: [`LsnSnapshot`]'s gateway
 /// candidates indexed by satellite.
 struct Landings {
-    /// Per satellite, every `(gateway index, slant range)` it can come
-    /// down at.
-    by_sat: Vec<Vec<(u32, Km)>>,
+    /// Per satellite, every `(gateway index, position in that gateway's
+    /// candidate list, slant range)` it can come down at.
+    by_sat: Vec<Vec<(u32, u32, Km)>>,
     /// The cheapest ground leg over every candidate: a floor on the
     /// ground leg of any path down.
     min_ground_leg: Latency,
@@ -208,12 +220,12 @@ pub struct PathBreakdown {
 impl LsnNetwork {
     /// The calibrated Shell 1 network with embedded gateways.
     pub fn starlink() -> Self {
-        LsnNetwork {
-            constellation: Constellation::new(spacecdn_orbit::shell::shells::starlink_shell1()),
-            gateways: gateways(),
-            access: AccessModel::default(),
-            fiber: FiberModel::default(),
-        }
+        Self::new(
+            Constellation::new(spacecdn_orbit::shell::shells::starlink_shell1()),
+            gateways(),
+            AccessModel::default(),
+            FiberModel::default(),
+        )
     }
 
     /// Build with explicit components (tests, ablations).
@@ -228,7 +240,34 @@ impl LsnNetwork {
             gateways,
             access,
             fiber,
+            pop_legs: RwLock::default(),
         }
+    }
+
+    /// The fibre legs from every gateway to `pop`, built on first use.
+    fn pop_legs(&self, pop: &StarlinkPop) -> Arc<PopLegs> {
+        let key = std::ptr::from_ref(pop.city) as usize;
+        if let Some(legs) = self.pop_legs.read().expect("legs lock poisoned").get(&key) {
+            return Arc::clone(legs);
+        }
+        let fiber: Vec<Latency> = self
+            .gateways
+            .iter()
+            .map(|gw| {
+                self.fiber.wan_rtt(
+                    gw.position(),
+                    gw.city.region,
+                    pop.position(),
+                    pop.city.region,
+                )
+            })
+            .collect();
+        let min = fiber
+            .iter()
+            .fold(Latency(f64::INFINITY), |m, &f| if f < m { f } else { m });
+        let legs = Arc::new(PopLegs { fiber, min });
+        let mut writer = self.pop_legs.write().expect("legs lock poisoned");
+        Arc::clone(writer.entry(key).or_insert(legs))
     }
 
     /// The constellation.
@@ -379,17 +418,20 @@ impl<'a> LsnSnapshot<'a> {
     /// to the chosen path. Returns `None` when no satellite serves the user
     /// or no gateway is reachable.
     ///
-    /// One Dijkstra from the overhead satellite prices the path, and it
-    /// stops early: hop processing is non-negative and the ground and
-    /// fibre legs are at least their cheapest values, so a gateway
-    /// candidate `km` of ISL away costs at least
-    /// `user_link + rt(km) + min ground leg + min fibre leg` (added in the
-    /// order the RTT is, so the floor holds bit for bit). The walk keeps
-    /// the best full RTT over the candidates settled so far and ends at
-    /// the first satellite whose floor exceeds it; every candidate it
-    /// leaves unsettled is strictly worse than the winner, so the
-    /// selection below — which reads them as unreachable — picks the same
-    /// gateway, hop count and RTT bits as a full table would.
+    /// One Dijkstra from the overhead satellite prices the path, keeping
+    /// no shell-length table: as each satellite settles, every gateway it
+    /// can come down at takes it as its landing if it beats the best so
+    /// far (ties go to the earlier candidate in that gateway's list, as a
+    /// scan in candidate order would pick). The walk stops early: hop
+    /// processing is non-negative and the ground and fibre legs are at
+    /// least their cheapest values, so a gateway candidate `km` of ISL
+    /// away costs at least `user_link + rt(km) + min ground leg + min
+    /// fibre leg` (added in the order the RTT is, so the floor holds bit
+    /// for bit). The walk keeps the best full RTT over the candidates
+    /// settled so far and ends at the first satellite whose floor exceeds
+    /// it; every candidate it leaves unsettled is strictly worse than the
+    /// winner, so the selection below picks the same gateway, hop count
+    /// and RTT bits as a scan of full tables would.
     pub fn starlink_rtt_to_pop(
         &self,
         user: Geodetic,
@@ -401,36 +443,27 @@ impl<'a> LsnSnapshot<'a> {
             Some(r) => self.net.access.user_link_rtt_sample(up_slant, r),
             None => self.net.access.user_link_rtt_median(up_slant),
         };
-        let fiber: Vec<Latency> = self
-            .net
-            .gateways
-            .iter()
-            .map(|gw| {
-                self.net.fiber.wan_rtt(
-                    gw.position(),
-                    gw.city.region,
-                    pop.position(),
-                    pop.city.region,
-                )
-            })
-            .collect();
-        let space_leg = |isl_km: f64, isl_hops: u32, down_slant: Km| {
-            propagation_delay(Km(isl_km), Medium::Vacuum).round_trip()
-                + self.net.access.isl_processing(isl_hops as usize)
-                + self.net.access.ground_leg_rtt(down_slant)
-        };
+        let legs = self.net.pop_legs(pop);
+        let access = &self.net.access;
         let landings = self.landings();
-        let min_fiber_leg = fiber
-            .iter()
-            .fold(Latency(f64::INFINITY), |m, &f| if f < m { f } else { m });
+        // Per gateway, its best landing so far: (space leg, ISL hops,
+        // candidate position).
+        let mut landed: Vec<Option<(Latency, u32, u32)>> = vec![None; self.net.gateways.len()];
         let mut bound = Latency(f64::INFINITY);
-        let space = dijkstra_distances_until(&self.graph, up_sat, |sat, (isl_km, isl_hops)| {
+        dijkstra_walk(&self.graph, up_sat, |sat, (isl_km, isl_hops)| {
             let isl = propagation_delay(Km(isl_km), Medium::Vacuum).round_trip();
-            if user_link + (isl + landings.min_ground_leg) + min_fiber_leg > bound {
+            if user_link + (isl + landings.min_ground_leg) + legs.min > bound {
                 return true;
             }
-            for &(gi, down_slant) in &landings.by_sat[sat.as_usize()] {
-                let rtt = user_link + space_leg(isl_km, isl_hops, down_slant) + fiber[gi as usize];
+            for &(gi, ci, down_slant) in &landings.by_sat[sat.as_usize()] {
+                let space_leg = isl
+                    + access.isl_processing(isl_hops as usize)
+                    + access.ground_leg_rtt(down_slant);
+                let best = &mut landed[gi as usize];
+                if best.is_none_or(|(b, _, c)| space_leg < b || (space_leg == b && ci < c)) {
+                    *best = Some((space_leg, isl_hops, ci));
+                }
+                let rtt = user_link + space_leg + legs.fiber[gi as usize];
                 if rtt < bound {
                     bound = rtt;
                 }
@@ -439,27 +472,8 @@ impl<'a> LsnSnapshot<'a> {
         });
 
         let mut best: Option<PathBreakdown> = None;
-        for ((gw, candidates), &fiber_leg) in self
-            .net
-            .gateways
-            .iter()
-            .zip(&self.gateway_candidates)
-            .zip(&fiber)
-        {
-            // Best way down at this gateway: minimise ISL propagation +
-            // hop processing + the down-leg over all satellites it sees.
-            let mut gw_best: Option<(Latency, usize)> = None;
-            for &(down_sat, down_slant) in candidates {
-                let (isl_km, isl_hops) = space[down_sat.as_usize()];
-                if !isl_km.is_finite() {
-                    continue;
-                }
-                let space_leg = space_leg(isl_km, isl_hops, down_slant);
-                if gw_best.is_none_or(|(b, _)| space_leg < b) {
-                    gw_best = Some((space_leg, isl_hops as usize));
-                }
-            }
-            let Some((space_leg, isl_hops)) = gw_best else {
+        for ((gw, landing), &fiber_leg) in self.net.gateways.iter().zip(&landed).zip(&legs.fiber) {
+            let Some((space_leg, isl_hops, _)) = *landing else {
                 continue;
             };
             let rtt = user_link + space_leg + fiber_leg;
@@ -467,7 +481,7 @@ impl<'a> LsnSnapshot<'a> {
             if best.as_ref().is_none_or(|b| rtt < b.rtt) {
                 best = Some(PathBreakdown {
                     rtt,
-                    isl_hops,
+                    isl_hops: isl_hops as usize,
                     via_gateway_relay: relay,
                     landing_gateway: gw.city.name,
                 });
@@ -482,8 +496,8 @@ impl<'a> LsnSnapshot<'a> {
             let mut by_sat = vec![Vec::new(); self.graph.len()];
             let mut min_ground_leg = Latency(f64::INFINITY);
             for (gi, candidates) in self.gateway_candidates.iter().enumerate() {
-                for &(sat, slant) in candidates {
-                    by_sat[sat.as_usize()].push((gi as u32, slant));
+                for (ci, &(sat, slant)) in candidates.iter().enumerate() {
+                    by_sat[sat.as_usize()].push((gi as u32, ci as u32, slant));
                     let leg = self.net.access.ground_leg_rtt(slant);
                     if leg < min_ground_leg {
                         min_ground_leg = leg;
@@ -708,8 +722,17 @@ mod tests {
             0.15,
             &mut DetRng::new(8, "fallback"),
         );
+        // Dead satellites plus GSL outages: a satellite that relays ISLs
+        // but cannot come down, so gateways lose candidates mid-list.
+        let mut gsl_faults = faults.clone();
+        let mut rng = DetRng::new(9, "fallback-gsl");
+        for sat in (0..net.constellation().len() as u32).map(SatIndex) {
+            if rng.unit() < 0.3 {
+                gsl_faults.fail_gsl(sat);
+            }
+        }
         let (mut compared, mut relays) = (0usize, 0usize);
-        for plan in [FaultPlan::none(), faults] {
+        for plan in [FaultPlan::none(), faults, gsl_faults] {
             for epoch in 0..6u64 {
                 let snap = net.snapshot(SimTime::from_secs(epoch * 157), &plan);
                 let mut full: HashMap<SatIndex, SourceTables> = HashMap::new();
@@ -745,7 +768,7 @@ mod tests {
                 }
             }
         }
-        assert!(compared >= 2 * 2 * 6 * 80, "only {compared} comparisons");
+        assert!(compared >= 3 * 2 * 6 * 80, "only {compared} comparisons");
         assert!(
             relays > 0 && relays < compared,
             "both path kinds must occur"

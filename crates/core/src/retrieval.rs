@@ -383,15 +383,14 @@ impl RetrievalRequest {
                 let _span = TABLE_NS.timer();
                 graph.routing_tables_within(overhead, widest)
             };
-            let copies: Vec<(SatIndex, u32, Latency)> = caches
-                .iter()
-                .filter_map(|&sat| {
-                    let h = tables.hops(sat);
-                    let (dist_km, route_hops) = tables.km(sat);
-                    (graph.is_alive(sat) && h != u32::MAX && dist_km.is_finite())
-                        .then(|| (sat, h, space_segment_cost(access, dist_km, route_hops)))
-                })
-                .collect();
+            // One merge pass of the ascending copy set against the ball.
+            let mut copies = Vec::new();
+            tables.lookup_sorted(caches.iter().copied(), |m| {
+                if graph.is_alive(m.sat) {
+                    let cost = space_segment_cost(access, m.km, m.route_hops);
+                    copies.push((m.sat, m.hops, cost));
+                }
+            });
             (copies, ladder)
         };
         // The cheapest copy's space segment: the widest rung admits every

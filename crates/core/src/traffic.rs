@@ -33,17 +33,19 @@
 //!   ([`resolve_overheads`] warms the tables, one task per distinct
 //!   overhead satellite; the calling thread then assembles each pair's
 //!   `BatchGeo` and prices its candidates); shards only read it, and no
-//!   shard reads a routing table. The tables are
+//!   shard reads a routing table. The tables are member-sized
 //!   [`RoutingBall`]s out to the ladder's top rung — a holder beyond it
 //!   never wins a rung — whose walks also stop once no unsettled
 //!   satellite can beat the source's ground fallback (one that cannot
 //!   beat it never serves), memoized in each graph's routing cache under
-//!   its reuse rule (see [`spacecdn_lsn::cache`]). From those tables the
-//!   burst prices every serving candidate once per (epoch, source): a
-//!   read-only `CandidateTable` holds a bitset over the burst's global
-//!   slots (with a per-word prefix count) and one `(base RTT, hops)`
-//!   entry per reachable slot, so a shard's candidate scan is one bit
-//!   test per holder, plus one packed read for the few inside the ball.
+//!   its reuse rule (see [`spacecdn_lsn::cache`]). A ball holds only its
+//!   members, sorted by satellite, so neither the walks nor the pricing
+//!   touch a shell-length table. From the members the burst prices every
+//!   serving candidate once per (epoch, source): a read-only
+//!   `CandidateTable` holds a bitset over the burst's global slots (with
+//!   a per-word prefix count) and one `(base RTT, hops)` entry per
+//!   reachable slot, so a shard's candidate scan is one bit test per
+//!   holder, plus one packed read for the few inside the ball.
 //!   A shard keeps just a `BatchCtx` per source it serves — the memo
 //!   generation minted on first touch and a request count — and thousands
 //!   of requests reuse it (`core.traffic.batch.*` telemetry tracks the
@@ -639,10 +641,10 @@ struct SlotWord {
 /// The entries are the rung-independent costs of the Figure 6 ladder: the
 /// overhead satellite at its user link's round trip and zero hops, any
 /// other satellite at `user_prop + space_segment_cost(km, route hops)`
-/// with its BFS hop level, both read from the source's [`RoutingBall`] in
-/// that shell. A slot is reachable iff its hop level and km are finite
-/// (inside the ball, which is cut at the source's ground fallback); a
-/// shell without an overhead satellite contributes nothing.
+/// with its BFS hop level, both read from the members of the source's
+/// [`RoutingBall`] in that shell. A slot is reachable iff it is a member
+/// (the ball is cut at the source's ground fallback); a shell without an
+/// overhead satellite contributes nothing.
 struct CandidateTable {
     /// Bitset words per source.
     stride: usize,
@@ -686,21 +688,20 @@ impl CandidateTable {
                 .as_ref()
                 .expect("a home is an overhead")
                 .tables;
-            for local in (0..graphs[k].len() as u32).map(SatIndex) {
-                let g = shell_offsets[k] + local.0;
-                if local == sat {
-                    members.push((g, 0, Latency::ZERO));
-                    continue;
+            let off = shell_offsets[k];
+            // The home itself, in its slot-order place, whether or not
+            // the cut kept it in its own ball.
+            let mut home = Some((off + sat.0, 0, Latency::ZERO));
+            ball.for_each_member(|m| {
+                if m.sat >= sat {
+                    members.extend(home.take());
                 }
-                let h = ball.hops(local);
-                if h == u32::MAX {
-                    continue;
+                if m.sat != sat {
+                    let segment = space_segment_cost(access, m.km, m.route_hops);
+                    members.push((off + m.sat.0, m.hops, segment));
                 }
-                let (dist_km, route_hops) = ball.km(local);
-                if dist_km.is_finite() {
-                    members.push((g, h, space_segment_cost(access, dist_km, route_hops)));
-                }
-            }
+            });
+            members.extend(home);
         }
         spans.push(members.len());
         let home_of = |k: usize, o: &Overhead| {

@@ -10,12 +10,16 @@
 //! source satellite.
 //!
 //! Callers that only look within a hop budget (the Figure 6 ladder tops
-//! out at 10 ISL hops) ask for a [`RoutingBall`] instead: tables exact
-//! out to a BFS radius, built by the [`ball_tables`] kernel for a
-//! fraction of the full pair's cost. A traffic burst's balls may also
-//! carry a [`FallbackCut`]: their walk stops once no unsettled satellite
-//! can beat the ground fallback, so they are exact only out to the km at
-//! which the cut fired. Balls are memoized beside the full tables under
+//! out at 10 ISL hops) ask for a [`RoutingBall`] instead: the satellites
+//! within a BFS radius, each with its full-table entries, built by the
+//! [`ball_members`] kernel for a fraction of the full pair's cost and
+//! stored as just those members, sorted by satellite — a few hundred
+//! entries where the full tables hold one per satellite of the shell.
+//! A traffic burst's balls may also carry a [`FallbackCut`]: their walk
+//! stops once no unsettled satellite can beat the ground fallback, so
+//! they hold only the members settled before the cut fired. A ball that
+//! holds its source's whole component uncut *is* the full tables and is
+//! densified into them. Balls are memoized beside the full tables under
 //! one reuse rule — a cached full table answers any query; a cached ball
 //! answers a query whose radius fits in its own and, if the ball was cut,
 //! whose own cut fires at the km the ball's walk stopped (so the query's
@@ -33,7 +37,7 @@
 //! the lock is held only for a `HashMap` probe or insert — the uncontended
 //! fast path is a compare-exchange either way.
 
-use crate::routing::{ball_tables, dijkstra_distances, hop_distances, FallbackCut};
+use crate::routing::{ball_members, dijkstra_distances, hop_distances, BallMember, FallbackCut};
 use crate::topology::IslGraph;
 use spacecdn_orbit::SatIndex;
 use spacecdn_telemetry::LazyCounter;
@@ -74,6 +78,20 @@ impl SourceTables {
             hops: hop_distances(graph, src),
         }
     }
+
+    /// The full tables of a ball that holds its source's whole component
+    /// (every satellite outside it is unreachable from the source).
+    fn from_members(n: usize, members: &[BallMember]) -> Self {
+        let mut tables = SourceTables {
+            km: vec![(f64::INFINITY, u32::MAX); n],
+            hops: vec![u32::MAX; n],
+        };
+        for m in members {
+            tables.km[m.sat.as_usize()] = (m.km, m.route_hops);
+            tables.hops[m.sat.as_usize()] = m.hops;
+        }
+        tables
+    }
 }
 
 /// Routing tables from one source satellite, exact within a BFS radius:
@@ -83,16 +101,26 @@ impl SourceTables {
 /// settled before the cut fired; the rest read as unreachable too.
 ///
 /// A distinct type from [`SourceTables`] so that no full-table consumer
-/// can be handed a truncated table. A ball may be backed by a full table
-/// or by a wider (or less cut) ball (see [`RoutingCache::ball_for`]); the
-/// accessors mask by `radius`, so every backing reads identically within
-/// the entries the query needs.
+/// can be handed a truncated table. A ball is backed either by the
+/// members a [`ball_members`] walk settled, sorted by satellite, or by
+/// full tables; a wider (or less cut) ball or full tables may back a
+/// narrower query (see [`RoutingCache::ball_for`]). Every read masks by
+/// `radius`, so every backing reads identically within the entries the
+/// query needs.
 #[derive(Debug, Clone)]
 pub struct RoutingBall {
     radius: u32,
     /// Exact for every satellite within `radius` hops (and possibly
     /// beyond, when a wider ball or the full tables back this one).
-    tables: Arc<SourceTables>,
+    backing: Backing,
+}
+
+#[derive(Debug, Clone)]
+enum Backing {
+    /// Full tables: a dense entry per satellite.
+    Full(Arc<SourceTables>),
+    /// A walk's members, ascending by satellite; nothing else is held.
+    Members(Arc<Vec<BallMember>>),
 }
 
 impl RoutingBall {
@@ -106,14 +134,14 @@ impl RoutingBall {
     /// [`Self::compute`], plus the km at which the cut stopped the walk
     /// (`f64::INFINITY` when it never fired).
     fn walk(graph: &IslGraph, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> (Self, f64) {
-        let ((km, hops), whole, cut_km) = ball_tables(graph, src, radius, cut);
-        let ball = RoutingBall {
-            radius: if whole && cut_km.is_infinite() {
-                u32::MAX
-            } else {
-                radius
-            },
-            tables: Arc::new(SourceTables { km, hops }),
+        let (members, whole, cut_km) = ball_members(graph, src, radius, cut);
+        let ball = if whole && cut_km.is_infinite() {
+            Self::full(Arc::new(SourceTables::from_members(graph.len(), &members)))
+        } else {
+            RoutingBall {
+                radius,
+                backing: Backing::Members(Arc::new(members)),
+            }
         };
         (ball, cut_km)
     }
@@ -123,46 +151,118 @@ impl RoutingBall {
     pub fn full(tables: Arc<SourceTables>) -> Self {
         RoutingBall {
             radius: u32::MAX,
-            tables,
+            backing: Backing::Full(tables),
         }
     }
 
+    /// The member for `sat` (its full-table entries), or `None` outside
+    /// the ball. A member-backed ball finds it by binary search.
+    fn member(&self, sat: SatIndex) -> Option<BallMember> {
+        let m = match &self.backing {
+            Backing::Full(t) => Self::dense(t, sat)?,
+            Backing::Members(ms) => ms[ms.binary_search_by_key(&sat, |m| m.sat).ok()?],
+        };
+        (m.hops <= self.radius).then_some(m)
+    }
+
     /// BFS hop level of `sat`, as [`SourceTables::hops`] holds it, or
-    /// `u32::MAX` outside the ball.
-    #[inline]
+    /// `u32::MAX` outside the ball. One binary search on a member-backed
+    /// ball: a caller reading many satellites reads them with
+    /// [`Self::lookup_sorted`].
     pub fn hops(&self, sat: SatIndex) -> u32 {
-        let h = self.tables.hops[sat.as_usize()];
-        if h <= self.radius {
-            h
-        } else {
-            u32::MAX
-        }
+        self.member(sat).map_or(u32::MAX, |m| m.hops)
     }
 
     /// `(kilometres, route hop count)` of the cheapest path to `sat`, as
     /// [`SourceTables::km`] holds it, or `(f64::INFINITY, u32::MAX)`
     /// outside the ball.
-    #[inline]
     pub fn km(&self, sat: SatIndex) -> (f64, u32) {
-        if self.tables.hops[sat.as_usize()] <= self.radius {
-            self.tables.km[sat.as_usize()]
-        } else {
-            (f64::INFINITY, u32::MAX)
+        self.member(sat)
+            .map_or((f64::INFINITY, u32::MAX), |m| (m.km, m.route_hops))
+    }
+
+    /// Call `f` on every member, in ascending satellite order.
+    pub fn for_each_member(&self, mut f: impl FnMut(BallMember)) {
+        match &self.backing {
+            Backing::Full(t) => {
+                for sat in (0..t.hops.len() as u32).map(SatIndex) {
+                    if let Some(m) = Self::dense(t, sat).filter(|m| m.hops <= self.radius) {
+                        f(m);
+                    }
+                }
+            }
+            Backing::Members(ms) => {
+                for &m in ms.iter().filter(|m| m.hops <= self.radius) {
+                    f(m);
+                }
+            }
         }
     }
 
-    /// True when both balls read the same memoized tables.
+    /// Call `f` on the member of each of `sats` that lies in the ball, in
+    /// the order given. `sats` must be ascending: a member-backed ball
+    /// reads them in one merge pass over its members, not one search per
+    /// satellite.
+    pub fn lookup_sorted(
+        &self,
+        sats: impl IntoIterator<Item = SatIndex>,
+        mut f: impl FnMut(BallMember),
+    ) {
+        match &self.backing {
+            Backing::Full(t) => {
+                for sat in sats {
+                    if let Some(m) = Self::dense(t, sat).filter(|m| m.hops <= self.radius) {
+                        f(m);
+                    }
+                }
+            }
+            Backing::Members(ms) => {
+                let mut rest = ms.iter();
+                let mut next = rest.next();
+                for sat in sats {
+                    while next.is_some_and(|m| m.sat < sat) {
+                        next = rest.next();
+                    }
+                    match next {
+                        None => return,
+                        Some(&m) if m.sat == sat && m.hops <= self.radius => f(m),
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+    }
+
+    /// The full tables' entries for `sat`, or `None` when the source
+    /// cannot reach it.
+    #[inline]
+    fn dense(t: &SourceTables, sat: SatIndex) -> Option<BallMember> {
+        let hops = t.hops[sat.as_usize()];
+        let (km, route_hops) = t.km[sat.as_usize()];
+        (hops != u32::MAX && km.is_finite()).then_some(BallMember {
+            sat,
+            hops,
+            km,
+            route_hops,
+        })
+    }
+
+    /// True when both balls read the same memoized tables or members.
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.tables, &b.tables)
+        match (&a.backing, &b.backing) {
+            (Backing::Full(x), Backing::Full(y)) => Arc::ptr_eq(x, y),
+            (Backing::Members(x), Backing::Members(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
     }
 }
 
 /// A memoized ball: the radius and the km its walk stopped at
-/// (`f64::INFINITY` when no cut fired), with its tables.
+/// (`f64::INFINITY` when no cut fired), with its members.
 struct BallEntry {
     radius: u32,
     cut_km: f64,
-    tables: Arc<SourceTables>,
+    members: Arc<Vec<BallMember>>,
 }
 
 impl BallEntry {
@@ -281,31 +381,33 @@ impl RoutingCache {
         radius: u32,
         cut: Option<FallbackCut>,
     ) -> RoutingBall {
-        let view = |tables| RoutingBall { radius, tables };
+        let view = |backing| RoutingBall { radius, backing };
         if let Some(full) = self.tables.read().expect("cache lock poisoned").get(&src.0) {
             CACHE_HIT.incr();
-            return view(Arc::clone(full));
+            return view(Backing::Full(Arc::clone(full)));
         }
         if let Some(ball) = self.balls.read().expect("cache lock poisoned").get(&src.0) {
             if ball.answers(radius, cut) {
                 CACHE_HIT.incr();
-                return view(Arc::clone(&ball.tables));
+                return view(Backing::Members(Arc::clone(&ball.members)));
             }
         }
         CACHE_MISS.incr();
         if let Some(seed) = self.hop_seeds.get(&src.0) {
             if seed.hops.iter().all(|&h| h <= radius || h == u32::MAX) {
-                return view(self.memoize(src, Arc::new(self.compute_with_seed(graph, src))));
+                let full = self.memoize(src, Arc::new(self.compute_with_seed(graph, src)));
+                return view(Backing::Full(full));
             }
         }
         let (ball, cut_km) = RoutingBall::walk(graph, src, radius, cut);
-        if ball.radius == u32::MAX {
-            return view(self.memoize(src, ball.tables));
-        }
+        let members = match ball.backing {
+            Backing::Full(full) => return view(Backing::Full(self.memoize(src, full))),
+            Backing::Members(members) => members,
+        };
         let computed = BallEntry {
             radius,
             cut_km,
-            tables: ball.tables,
+            members,
         };
         let mut writer = self.balls.write().expect("cache lock poisoned");
         let entry = match writer.entry(src.0) {
@@ -317,7 +419,7 @@ impl RoutingCache {
             }
             Entry::Vacant(slot) => slot.insert(computed),
         };
-        view(Arc::clone(&entry.tables))
+        view(Backing::Members(Arc::clone(&entry.members)))
     }
 
     /// [`SourceTables::compute`], except the BFS half is cloned from a

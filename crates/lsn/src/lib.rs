@@ -42,9 +42,9 @@ pub use fault::{FaultEvent, FaultPlan, FaultPlanDelta, FaultSchedule};
 pub use load::LinkLoad;
 pub use path::{spacecdn_fetch_rtt, starlink_rtt_to_pop, StarlinkPath};
 pub use routing::{
-    ball_tables, bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into,
-    dijkstra_distances_until, hop_distances, hop_distances_into, hop_distances_many,
-    repair_dijkstra_table, FallbackCut, IslPath, RepairOutcome,
+    ball_members, bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into,
+    dijkstra_walk, hop_distances, hop_distances_into, hop_distances_many, repair_dijkstra_table,
+    BallMember, FallbackCut, IslPath, RepairOutcome,
 };
 pub use spatial::SpatialIndex;
 pub use topology::{IslEdge, IslGraph, Neighbors, PatchStats};

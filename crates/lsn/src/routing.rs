@@ -12,7 +12,14 @@
 //! flat arrays indexed by satellite — rather than per-node edge lists, and
 //! share per-thread scratch working sets so steady-state walks allocate
 //! only their output. The batched `_many` entry points additionally reuse
-//! one scratch borrow and one frontier buffer across many sources.
+//! one scratch borrow across many sources.
+//!
+//! The full-table kernels ([`dijkstra_distances`], [`hop_distances`])
+//! write one entry per satellite. The bounded ones write none: a routing
+//! ball ([`ball_members`]) emits only its members, and [`dijkstra_walk`]
+//! hands each settled satellite to its caller. Both keep their walk state
+//! in the scratch and put back only the entries they wrote, so a walk
+//! that stops early costs what it touched, not what the shell holds.
 
 use crate::topology::IslGraph;
 use spacecdn_geo::propagation::{propagation_delay, Medium};
@@ -110,6 +117,11 @@ impl MinHeap {
     fn pop(&mut self) -> Option<HeapItem> {
         self.inner.pop().map(|k| HeapItem(!k))
     }
+
+    /// Empty the queue, yielding the satellite of every entry left in it.
+    fn drain_sats(&mut self) -> impl Iterator<Item = u32> + '_ {
+        self.inner.drain().map(|k| HeapItem(!k).sat())
+    }
 }
 
 /// Sentinel in the scratch `prev` array: no predecessor recorded.
@@ -129,10 +141,25 @@ struct Scratch {
     prev: Vec<u32>,
     heap: MinHeap,
     queue: VecDeque<(u32, u32)>,
-    /// Current/next BFS wavefronts for the frontier-swap kernel.
-    frontier: Vec<u32>,
-    next_front: Vec<u32>,
+    /// Walk state of the table-free kernels ([`ball_members`],
+    /// [`dijkstra_walk`]), one entry per satellite: the BFS level and the
+    /// Dijkstra `(km, route hops)`. At rest every entry reads unreached
+    /// (`u32::MAX`, [`UNREACHED`]); a walk resets only what it wrote, so
+    /// its cost follows the satellites it touched, not the shell.
+    level: Vec<u32>,
+    km: Vec<(f64, u32)>,
+    /// Satellites the current BFS reached, level by level.
+    order: Vec<u32>,
+    /// Satellites the current walk popped as settled, plus the one that
+    /// stopped it: with the heap's leftovers, every `km` entry it wrote.
+    touched: Vec<u32>,
+    /// One bit per satellite, all clear at rest: the ball's members, read
+    /// out in satellite order.
+    bits: Vec<u64>,
 }
+
+/// A `(km, route hops)` entry no walk has reached.
+const UNREACHED: (f64, u32) = (f64::INFINITY, u32::MAX);
 
 impl Scratch {
     fn new() -> Self {
@@ -143,8 +170,22 @@ impl Scratch {
             prev: Vec::new(),
             heap: MinHeap::new(),
             queue: VecDeque::new(),
-            frontier: Vec::new(),
-            next_front: Vec::new(),
+            level: Vec::new(),
+            km: Vec::new(),
+            order: Vec::new(),
+            touched: Vec::new(),
+            bits: Vec::new(),
+        }
+    }
+
+    /// Size the walk state for a graph of `n` satellites. It only grows:
+    /// entries past a smaller graph's end stay at rest, so a thread that
+    /// alternates between shells never reallocates.
+    fn fit_walk(&mut self, n: usize) {
+        if self.km.len() < n {
+            self.level.resize(n, u32::MAX);
+            self.km.resize(n, UNREACHED);
+            self.bits.resize(n.div_ceil(64), 0);
         }
     }
 
@@ -278,105 +319,122 @@ pub fn dijkstra(graph: &IslGraph, src: SatIndex, dst: SatIndex) -> Option<IslPat
     })
 }
 
-/// The [`dijkstra_distances`] kernel against caller scratch and output.
-/// `stop` sees each satellite as it settles, with its (then final)
-/// `(km, hops)` entry, and ends the walk by returning true; the full
-/// kernel never stops.
+/// The [`dijkstra_distances`] kernel against caller scratch and output:
+/// [`settle_walk`] over `out`, run to the end.
 fn dijkstra_distances_with(
     s: &mut Scratch,
     graph: &IslGraph,
     src: SatIndex,
     out: &mut Vec<(f64, u32)>,
+) {
+    out.clear();
+    out.resize(graph.len(), UNREACHED);
+    if graph.is_alive(src) {
+        settle_walk(graph, src, out, &mut s.heap, &mut s.touched, |_, _| false);
+    }
+}
+
+/// Dijkstra from `src` (alive) over `km`, every entry unreached on
+/// entry, calling `stop` as each satellite settles with its (then final)
+/// `(km, hops)` entry; returning true ends the walk. Every settled
+/// satellite and the one that stopped the walk land in `touched`;
+/// together with the heap's leftovers they are every entry the walk
+/// wrote, which [`reset_walk`] puts back to rest when `km` is scratch
+/// walk state.
+fn settle_walk(
+    graph: &IslGraph,
+    src: SatIndex,
+    km: &mut [(f64, u32)],
+    heap: &mut MinHeap,
+    touched: &mut Vec<u32>,
     mut stop: impl FnMut(usize, (f64, u32)) -> bool,
 ) {
-    let n = graph.len();
-    out.clear();
-    out.resize(n, (f64::INFINITY, u32::MAX));
-    if !graph.is_alive(src) {
-        return;
-    }
     DIJKSTRA_RUNS.incr();
-    out[src.as_usize()] = (0.0, 0);
+    heap.clear();
+    touched.clear();
+    km[src.as_usize()] = (0.0, 0);
+    heap.push(HeapItem::new(0.0, src.0));
     let (offsets, nbrs, lens) = graph.csr();
-    s.begin(n);
-    s.heap.push(HeapItem::new(0.0, src.0));
-    while let Some(item) = s.heap.pop() {
+    while let Some(item) = heap.pop() {
         let cost = item.cost();
         let sat = item.sat() as usize;
-        if cost > out[sat].0 {
+        if cost > km[sat].0 {
             continue;
         }
-        if stop(sat, out[sat]) {
+        touched.push(item.sat());
+        if stop(sat, km[sat]) {
             break;
         }
-        let hops = out[sat].1;
+        let hops = km[sat].1;
         let (lo, hi) = (offsets[sat] as usize, offsets[sat + 1] as usize);
-        // Zipped slice iteration: one bounds check per row, not per edge.
         for (&to, &len) in nbrs[lo..hi].iter().zip(&lens[lo..hi]) {
             let next = cost + len;
-            let slot = &mut out[to as usize];
+            let slot = &mut km[to as usize];
             if next < slot.0 {
                 *slot = (next, hops + 1);
-                s.heap.push(HeapItem::new(next, to));
+                heap.push(HeapItem::new(next, to));
             }
         }
     }
 }
 
-/// The [`hop_distances`] kernel: level-synchronous BFS swapping two
-/// wavefront buffers instead of driving a deque of (node, depth) pairs.
-/// The output array doubles as the visited set. The walk stops after
-/// level `max_level`; returns how many satellites it reached, and whether
-/// it ran out of satellites first (then `out` is the full BFS table).
-fn hop_distances_with(
-    s: &mut Scratch,
+/// Put every `km` entry a [`settle_walk`] wrote back to rest.
+fn reset_walk(km: &mut [(f64, u32)], heap: &mut MinHeap, touched: &[u32]) {
+    for &sat in touched {
+        km[sat as usize] = UNREACHED;
+    }
+    for sat in heap.drain_sats() {
+        km[sat as usize] = UNREACHED;
+    }
+}
+
+/// Level-synchronous BFS from `src` (alive) over `level`, every entry
+/// `u32::MAX` on entry, out to level `radius`. The wavefronts are
+/// consecutive runs of `order`, which ends up holding every satellite
+/// reached (the entries the walk wrote). Returns whether the walk ran out
+/// of satellites before level `radius`.
+fn bfs_levels(
     graph: &IslGraph,
     src: SatIndex,
-    max_level: u32,
-    out: &mut Vec<u32>,
-) -> (usize, bool) {
-    let n = graph.len();
-    out.clear();
-    out.resize(n, u32::MAX);
-    if !graph.is_alive(src) {
-        return (0, true);
-    }
+    radius: u32,
+    level: &mut [u32],
+    order: &mut Vec<u32>,
+) -> bool {
     BFS_RUNS.incr();
-    out[src.as_usize()] = 0;
-    let mut reached = 1;
+    order.clear();
+    order.push(src.0);
+    level[src.as_usize()] = 0;
     let (offsets, nbrs, _) = graph.csr();
-    // Disjoint borrows of the two wavefront buffers so the expansion loop
-    // iterates one while pushing the other without per-index checks.
-    let Scratch {
-        frontier,
-        next_front,
-        ..
-    } = s;
-    frontier.clear();
-    next_front.clear();
-    frontier.push(src.0);
-    let mut level = 0u32;
-    while level < max_level && !frontier.is_empty() {
-        level += 1;
-        for &satu in frontier.iter() {
-            let sat = satu as usize;
-            let (lo, hi) = (offsets[sat] as usize, offsets[sat + 1] as usize);
-            for &nb in &nbrs[lo..hi] {
-                let slot = &mut out[nb as usize];
+    let (mut lo, mut depth) = (0, 0u32);
+    while depth < radius && lo < order.len() {
+        depth += 1;
+        let hi = order.len();
+        for i in lo..hi {
+            let sat = order[i] as usize;
+            let (a, b) = (offsets[sat] as usize, offsets[sat + 1] as usize);
+            for &nb in &nbrs[a..b] {
+                let slot = &mut level[nb as usize];
                 if *slot == u32::MAX {
-                    *slot = level;
-                    next_front.push(nb);
-                    reached += 1;
+                    *slot = depth;
+                    order.push(nb);
                 }
             }
         }
-        std::mem::swap(frontier, next_front);
-        next_front.clear();
+        lo = hi;
     }
-    (reached, frontier.is_empty())
+    lo == order.len()
 }
 
-/// The ground-fallback stop rule of a bounded walk (see [`ball_tables`]):
+/// The [`hop_distances`] kernel: [`bfs_levels`] over `out`, unbounded.
+fn hop_distances_with(s: &mut Scratch, graph: &IslGraph, src: SatIndex, out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(graph.len(), u32::MAX);
+    if graph.is_alive(src) {
+        bfs_levels(graph, src, u32::MAX, out, &mut s.order);
+    }
+}
+
+/// The ground-fallback stop rule of a bounded walk (see [`ball_members`]):
 /// a satellite `km` kilometres of ISL away costs at least
 /// `user_prop + rt(km)` to fetch from — the user link's propagation
 /// round trip plus the ISL path's — and a fetch is served from space only
@@ -403,111 +461,155 @@ impl FallbackCut {
     }
 }
 
-/// The [`ball_tables`] kernel against caller scratch and outputs: the
-/// BFS out to level `radius`, then the full Dijkstra — over the whole
-/// graph, since a km-shortest path to a member may leave the ball — step
-/// for step until the last member settles or `cut` fires on the next
-/// satellite to settle. Settled entries are final, so every settled
-/// member's bits match a full run; every other entry is reset to
-/// unreachable. Returns whether the BFS held the source's whole
+/// One satellite of a routing ball (see [`ball_members`]), with the
+/// entries the full tables hold for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BallMember {
+    /// The satellite.
+    pub sat: SatIndex,
+    /// Its BFS hop level, as [`hop_distances`] gives it.
+    pub hops: u32,
+    /// Kilometres of its cheapest-by-distance path, as
+    /// [`dijkstra_distances`] gives them.
+    pub km: f64,
+    /// Hop count of that path, as [`dijkstra_distances`] gives it.
+    pub route_hops: u32,
+}
+
+/// The [`ball_members`] kernel against caller scratch and output: the BFS
+/// out to level `radius`, then the Dijkstra — over the whole graph, since
+/// a km-shortest path to a member may leave the ball — step for step
+/// until the last member settles or `cut` fires on the next satellite to
+/// settle. Both walks run on the scratch walk state and put back only the
+/// entries they wrote. Returns whether the BFS held the source's whole
 /// component, and the km at which the cut stopped the walk
 /// (`f64::INFINITY` when it never fired).
-fn ball_tables_with(
+fn ball_members_with(
     s: &mut Scratch,
     graph: &IslGraph,
     src: SatIndex,
     radius: u32,
     cut: Option<FallbackCut>,
-    km: &mut Vec<(f64, u32)>,
-    hops: &mut Vec<u32>,
+    out: &mut Vec<BallMember>,
 ) -> (bool, f64) {
-    let (members, whole) = hop_distances_with(s, graph, src, radius, hops);
-    let mut unsettled = members;
+    out.clear();
+    if !graph.is_alive(src) {
+        return (true, f64::INFINITY);
+    }
+    let n = graph.len();
+    s.fit_walk(n);
+    let Scratch {
+        level,
+        km,
+        order,
+        touched,
+        bits,
+        heap,
+        ..
+    } = s;
+
+    let whole = bfs_levels(graph, src, radius, level, order);
+
+    let mut unsettled = order.len();
     let mut cut_km = f64::INFINITY;
-    dijkstra_distances_with(s, graph, src, km, |sat, (dist, _)| {
+    let levels: &[u32] = level;
+    settle_walk(graph, src, km, heap, touched, |sat, (dist, _)| {
         if cut.is_some_and(|c| c.fires(dist)) {
             cut_km = dist;
             return true;
         }
-        if hops[sat] != u32::MAX {
+        if levels[sat] != u32::MAX {
             unsettled -= 1;
         }
         unsettled == 0
     });
-    // Tentative distances the walk left outside the ball read as
-    // unreachable, like every other non-member. A cut leaves every
-    // unsettled satellite at or beyond the km it fired at (the heap pops
-    // in km order), and those read as non-members too.
-    if members < km.len() || cut_km.is_finite() {
-        for (entry, h) in km.iter_mut().zip(hops.iter_mut()) {
-            if *h == u32::MAX || entry.0 >= cut_km {
-                *entry = (f64::INFINITY, u32::MAX);
-                *h = u32::MAX;
-            }
+
+    // Members: every BFS-reached satellite settled before the cut. A cut
+    // leaves every unsettled satellite at or beyond the km it fired at
+    // (the heap pops in km order), so `km < cut_km` is exactly "settled".
+    let mut count = 0;
+    for &sat in order.iter() {
+        let sat = sat as usize;
+        if km[sat].0 < cut_km {
+            bits[sat / 64] |= 1 << (sat % 64);
+            count += 1;
         }
     }
+    out.reserve_exact(count);
+    for (w, word) in bits[..n.div_ceil(64)].iter_mut().enumerate() {
+        let mut b = std::mem::take(word);
+        while b != 0 {
+            let sat = w * 64 + b.trailing_zeros() as usize;
+            b &= b - 1;
+            let (dist, route_hops) = km[sat];
+            out.push(BallMember {
+                sat: SatIndex(sat as u32),
+                hops: level[sat],
+                km: dist,
+                route_hops,
+            });
+        }
+    }
+    for &sat in order.iter() {
+        level[sat as usize] = u32::MAX;
+    }
+    reset_walk(km, heap, touched);
     (whole, cut_km)
 }
 
-/// Routing tables from `src` exact out to `radius` BFS hops: the
-/// ([`dijkstra_distances`], [`hop_distances`]) pair restricted to the
-/// *ball* of satellites within `radius` hops. Every member's entries are
-/// bit-equal to the full tables'; every non-member reads as unreachable
-/// (`(f64::INFINITY, u32::MAX)` and `u32::MAX`). A radius at or above
-/// the source's eccentricity returns exactly the full tables; the flag
-/// is true when the BFS ran out of satellites before level `radius`,
-/// which proves that case.
+/// The routing ball of `src`: every satellite within `radius` BFS hops,
+/// in ascending satellite order, each with the entries the full
+/// ([`dijkstra_distances`], [`hop_distances`]) pair holds for it, bit for
+/// bit. Nothing outside the ball is held. A radius at or above the
+/// source's eccentricity yields the whole component; the flag is true
+/// when the BFS ran out of satellites before level `radius`, which proves
+/// that case.
 ///
 /// With a `cut`, the walk also stops at the first satellite to settle
-/// whose [`FallbackCut::fires`] — members at or beyond that km then read
-/// as non-members too — and the last value is that km (`f64::INFINITY`
-/// when the cut never fired, and always without one). Only a ball the
-/// cut never stopped can be the full tables.
+/// whose [`FallbackCut::fires`] — members at or beyond that km are then
+/// left out too — and the last value is that km (`f64::INFINITY` when the
+/// cut never fired, and always without one). Only a ball the cut never
+/// stopped can be the whole component.
 ///
 /// The BFS stops at level `radius` and the Dijkstra once every member has
-/// settled, so a ball costs a fraction of the full pair on a large
-/// shell; one that covers the whole graph costs the same.
-pub fn ball_tables(
+/// settled; neither writes a shell-length table, so a ball costs what it
+/// touches rather than what the shell holds.
+pub fn ball_members(
     graph: &IslGraph,
     src: SatIndex,
     radius: u32,
     cut: Option<FallbackCut>,
-) -> (RawSourceTables, bool, f64) {
-    let mut km = Vec::new();
-    let mut hops = Vec::new();
+) -> (Vec<BallMember>, bool, f64) {
+    let mut members = Vec::new();
     let (whole, cut_km) =
-        with_scratch(|s| ball_tables_with(s, graph, src, radius, cut, &mut km, &mut hops));
-    ((km, hops), whole, cut_km)
+        with_scratch(|s| ball_members_with(s, graph, src, radius, cut, &mut members));
+    (members, whole, cut_km)
 }
 
-/// [`dijkstra_distances`] that `stop` may end early: it sees each
-/// satellite as it settles, with its final `(km, hops)` entry, and ends
-/// the walk by returning true. Every satellite that settled before that
-/// one holds its full-table entry bit for bit; the stopping satellite and
-/// every satellite at or beyond its km read as unreachable. A walk `stop`
-/// never ends is exactly [`dijkstra_distances`].
-pub fn dijkstra_distances_until(
+/// Latency-weighted Dijkstra from `src` that keeps no table: `visit` sees
+/// each satellite as it settles, in settle order, with its final
+/// `(km, route hops)` entry — bit-equal to [`dijkstra_distances`]' — and
+/// ends the walk by returning true. Nothing is visited from a dead source.
+/// The walk's state lives in per-thread scratch and only the entries it
+/// wrote are put back, so an early stop costs what it settled.
+pub fn dijkstra_walk(
     graph: &IslGraph,
     src: SatIndex,
-    mut stop: impl FnMut(SatIndex, (f64, u32)) -> bool,
-) -> Vec<(f64, u32)> {
-    let mut out = Vec::new();
-    let mut cut_km = f64::INFINITY;
-    with_scratch(|s| {
-        dijkstra_distances_with(s, graph, src, &mut out, |sat, entry| {
-            let stopped = stop(SatIndex(sat as u32), entry);
-            if stopped {
-                cut_km = entry.0;
-            }
-            stopped
-        })
-    });
-    if cut_km.is_finite() {
-        for entry in out.iter_mut().filter(|e| e.0 >= cut_km) {
-            *entry = (f64::INFINITY, u32::MAX);
-        }
+    mut visit: impl FnMut(SatIndex, (f64, u32)) -> bool,
+) {
+    if !graph.is_alive(src) {
+        return;
     }
-    out
+    with_scratch(|s| {
+        s.fit_walk(graph.len());
+        let Scratch {
+            km, heap, touched, ..
+        } = s;
+        settle_walk(graph, src, km, heap, touched, |sat, entry| {
+            visit(SatIndex(sat as u32), entry)
+        });
+        reset_walk(km, heap, touched);
+    });
 }
 
 /// Single-source shortest paths: for every satellite, the (kilometres,
@@ -524,7 +626,7 @@ pub fn dijkstra_distances(graph: &IslGraph, src: SatIndex) -> Vec<(f64, u32)> {
 /// [`dijkstra_distances`] writing into a caller-owned buffer (cleared and
 /// resized), so sweeps over many sources can recycle one allocation.
 pub fn dijkstra_distances_into(graph: &IslGraph, src: SatIndex, out: &mut Vec<(f64, u32)>) {
-    with_scratch(|s| dijkstra_distances_with(s, graph, src, out, |_, _| false));
+    with_scratch(|s| dijkstra_distances_with(s, graph, src, out));
 }
 
 /// Hop distances (BFS levels) from `src` to every satellite; `u32::MAX`
@@ -538,9 +640,7 @@ pub fn hop_distances(graph: &IslGraph, src: SatIndex) -> Vec<u32> {
 /// [`hop_distances`] writing into a caller-owned buffer (cleared and
 /// resized), so sweeps over many sources can recycle one allocation.
 pub fn hop_distances_into(graph: &IslGraph, src: SatIndex, out: &mut Vec<u32>) {
-    with_scratch(|s| {
-        hop_distances_with(s, graph, src, u32::MAX, out);
-    });
+    with_scratch(|s| hop_distances_with(s, graph, src, out));
 }
 
 /// Batched [`hop_distances`] over many sources: one scratch borrow and one
@@ -552,16 +652,12 @@ pub fn hop_distances_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<Vec<u32
             .iter()
             .map(|&src| {
                 let mut out = Vec::new();
-                hop_distances_with(s, graph, src, u32::MAX, &mut out);
+                hop_distances_with(s, graph, src, &mut out);
                 out
             })
             .collect()
     })
 }
-
-/// One source's routing tables as raw vectors: the `(km, hop-count)`
-/// Dijkstra table and the BFS hop-level table.
-pub type RawSourceTables = (Vec<(f64, u32)>, Vec<u32>);
 
 /// Result of a successful [`repair_dijkstra_table`] call.
 #[derive(Debug, Clone)]

@@ -738,7 +738,7 @@ impl IslGraph {
     /// [`Self::routing_tables_within`], with the walk also stopped once
     /// `cut` shows no unsettled satellite can beat the ground fallback:
     /// exact for every member settled before that, unreachable beyond
-    /// (see [`crate::routing::ball_tables`]). For a caller that serves
+    /// (see [`crate::routing::ball_members`]). For a caller that serves
     /// from space only what beats the fallback, the dropped satellites
     /// could never have served. Memoized under the same reuse rule; a cut
     /// ball never answers an uncut query (see [`RoutingCache::ball_for`]).

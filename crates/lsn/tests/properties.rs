@@ -1,11 +1,12 @@
 //! Property-based tests for ISL topology and routing invariants.
 
 use proptest::prelude::*;
-use spacecdn_geo::{DetRng, Geodetic, SimDuration, SimTime};
+use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::cache::routing_cache_enabled;
 use spacecdn_lsn::{
-    ball_tables, bfs_nearest, dijkstra, dijkstra_distances, hop_distances, FaultEvent, FaultPlan,
-    FaultSchedule, IslEdge, IslGraph, RoutingBall, SourceTables,
+    ball_members, bfs_nearest, dijkstra, dijkstra_distances, hop_distances, BallMember,
+    FallbackCut, FaultEvent, FaultPlan, FaultSchedule, IslEdge, IslGraph, RoutingBall,
+    SourceTables,
 };
 use spacecdn_orbit::shell::ShellConfig;
 use spacecdn_orbit::{Constellation, SatIndex};
@@ -568,40 +569,62 @@ proptest! {
         frac in 0.0f64..0.35,
         radius in 0u32..13,
         narrow in 0u32..13,
+        fallback_ms in 8.0f64..60.0,
     ) {
-        // The ball kernel on faulted graphs (dead satellites, failed links,
-        // failed GSLs): every member bit-equal to the full kernels, every
-        // non-member unreachable, and the full tables exactly once the
-        // radius reaches the source's eccentricity.
+        // The member kernel on faulted graphs (dead satellites, failed
+        // links, failed GSLs), cut and uncut: members ascending, each
+        // bit-equal to the full kernels, exactly the satellites within the
+        // radius that the cut keeps, and nothing else; uncut, the whole
+        // component once the radius reaches the source's eccentricity.
         let c = Constellation::new(shell);
         let faults = random_faults_with_gsl(&c, seed, frac);
         let t = SimTime::from_secs(431);
         let g = IslGraph::build(&c, t, &faults);
         let n = g.len();
         let narrow = narrow.min(radius);
+        let cut = FallbackCut {
+            user_prop: Latency::from_ms(4.0),
+            fallback: Latency::from_ms(fallback_ms),
+        };
         for src in [SatIndex(0), SatIndex(n as u32 / 2), SatIndex(n as u32 - 1)] {
             let full = SourceTables::compute(&g, src);
-            let ((km, hops), whole, _) = ball_tables(&g, src, radius, None);
-            for i in 0..n {
-                if full.hops[i] <= radius {
-                    prop_assert_eq!(hops[i], full.hops[i], "hops at {}", i);
-                    prop_assert_eq!(km[i].0.to_bits(), full.km[i].0.to_bits(), "km at {}", i);
-                    prop_assert_eq!(km[i].1, full.km[i].1, "route hops at {}", i);
-                } else {
-                    prop_assert_eq!(hops[i], u32::MAX, "non-member hops at {}", i);
-                    prop_assert_eq!(km[i], (f64::INFINITY, u32::MAX), "non-member km at {}", i);
+            for cut in [None, Some(cut)] {
+                let (members, whole, cut_km) = ball_members(&g, src, radius, cut);
+                let want: Vec<BallMember> = (0..n)
+                    .filter(|&i| {
+                        full.hops[i] <= radius && !cut.is_some_and(|c| c.fires(full.km[i].0))
+                    })
+                    .map(|i| BallMember {
+                        sat: SatIndex(i as u32),
+                        hops: full.hops[i],
+                        km: full.km[i].0,
+                        route_hops: full.km[i].1,
+                    })
+                    .collect();
+                prop_assert!(members.windows(2).all(|w| w[0].sat < w[1].sat), "not ascending");
+                prop_assert_eq!(members.len(), want.len(), "member count");
+                for (got, want) in members.iter().zip(&want) {
+                    prop_assert_eq!(got.sat, want.sat);
+                    prop_assert_eq!(got.hops, want.hops, "hops at {:?}", got.sat);
+                    prop_assert_eq!(got.km.to_bits(), want.km.to_bits(), "km at {:?}", got.sat);
+                    prop_assert_eq!(got.route_hops, want.route_hops, "route at {:?}", got.sat);
                 }
-            }
-            let eccentricity = full.hops.iter().filter(|&&h| h != u32::MAX).max().copied();
-            // The flag claims the full tables only when the BFS ran dry
-            // inside the radius.
-            prop_assert_eq!(whole, eccentricity.is_none_or(|e| e < radius));
-            if eccentricity.is_none_or(|e| radius >= e) {
-                prop_assert_eq!(&hops, &full.hops);
-                let bits = |t: &[(f64, u32)]| -> Vec<(u64, u32)> {
-                    t.iter().map(|&(k, h)| (k.to_bits(), h)).collect()
-                };
-                prop_assert_eq!(bits(&km), bits(&full.km));
+                let eccentricity = full.hops.iter().filter(|&&h| h != u32::MAX).max().copied();
+                // The flag claims the whole component only when the BFS
+                // ran dry inside the radius.
+                prop_assert_eq!(whole, eccentricity.is_none_or(|e| e < radius));
+                if cut.is_none() {
+                    prop_assert!(cut_km.is_infinite());
+                    if eccentricity.is_none_or(|e| radius >= e) {
+                        prop_assert_eq!(members.len(), full.hops.iter().filter(|&&h| h != u32::MAX).count());
+                    }
+                } else if cut_km.is_finite() {
+                    prop_assert!(cut.is_some_and(|c| c.fires(cut_km)));
+                }
+                let ball = RoutingBall::compute(&g, src, radius, cut);
+                let mut read = Vec::new();
+                ball.for_each_member(|m| read.push(m));
+                prop_assert_eq!(&read, &members);
             }
 
             // Memoized lookups: a narrower query is served from the
@@ -615,6 +638,24 @@ proptest! {
             from_full.routing_tables(src);
             let over_full = from_full.routing_tables_within(src, narrow);
             assert_ball_matches(&over_full, &full, narrow, n);
+            // The merge-pass lookup over an ascending copy set reads what
+            // per-satellite reads do, on member- and table-backed balls.
+            let mut rng = DetRng::new(seed, "prop-ball-lookup");
+            let copies: Vec<SatIndex> =
+                (0..n as u32).filter(|_| rng.index(3) == 0).map(SatIndex).collect();
+            for ball in [&wide, &narrowed, &over_full] {
+                let mut merged = Vec::new();
+                ball.lookup_sorted(copies.iter().copied(), |m| merged.push(m));
+                let each: Vec<BallMember> = copies
+                    .iter()
+                    .filter(|&&sat| ball.hops(sat) != u32::MAX)
+                    .map(|&sat| {
+                        let (km, route_hops) = ball.km(sat);
+                        BallMember { sat, hops: ball.hops(sat), km, route_hops }
+                    })
+                    .collect();
+                prop_assert_eq!(merged, each);
+            }
             if routing_cache_enabled() {
                 prop_assert!(RoutingBall::ptr_eq(&wide, &narrowed));
                 prop_assert!(RoutingBall::ptr_eq(

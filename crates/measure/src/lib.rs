@@ -39,6 +39,7 @@ pub use aim::{AimCampaign, AimConfig, CountryStats, IspKind};
 pub use report::{format_table, write_json};
 pub use spacecdn::{duty_cycle_experiment, hop_bound_experiment};
 pub use traffic::{
-    starlink_shell_scenarios, traffic_campaign, TrafficCampaignConfig, TrafficPoint,
+    starlink_shell_scenarios, traffic_campaign, traffic_campaign_each, TrafficCampaignConfig,
+    TrafficPoint,
 };
 pub use web::{PageModel, WebConfig, WebMeasurement};

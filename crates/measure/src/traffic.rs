@@ -17,19 +17,19 @@ use spacecdn_core::traffic::{
 };
 use spacecdn_des::Percentiles;
 use spacecdn_engine::par_map;
-use spacecdn_geo::{Latency, SimDuration, SimTime};
+use spacecdn_geo::{Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::{AccessModel, FaultSchedule};
 use spacecdn_orbit::{Constellation, MultiConstellation};
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, Unit};
 use spacecdn_terra::cdn::{anycast_select, cdn_sites};
 use spacecdn_terra::city::cities;
 use spacecdn_terra::fiber::FiberModel;
-use spacecdn_terra::starlink::{covered_countries, home_pop};
+use spacecdn_terra::starlink::{covered_countries, home_pop, StarlinkPop};
 
 /// Campaign points produced (stable: fixed by the sweep parameters).
 static TRAFFIC_POINTS: LazyCounter = LazyCounter::stable("measure.traffic.points");
 
-/// Wall time of each [`covered_traffic_sources_from`] call — the epoch
+/// Wall time of each [`CoveredCities::sources`] call — the epoch
 /// snapshots and every city's ground-fallback pricing (racy: a clock
 /// reading).
 static SOURCE_TABLE_NS: LazyHistogram =
@@ -119,57 +119,87 @@ pub fn covered_traffic_sources(
     epochs: usize,
     epoch_step: SimDuration,
 ) -> Vec<TrafficSource> {
-    covered_traffic_sources_from(net, schedule, SimTime::EPOCH, epochs, epoch_step)
+    CoveredCities::new(net).sources(net, schedule, SimTime::EPOCH, epochs, epoch_step)
 }
 
-/// [`covered_traffic_sources`] with the epoch timeline anchored at
-/// `start` instead of [`SimTime::EPOCH`] — the fallback table for a
-/// traffic burst whose `TrafficConfig::start` carries a long-lived
-/// session's running clock.
-pub fn covered_traffic_sources_from(
-    net: &LsnNetwork,
-    schedule: &FaultSchedule,
-    start: SimTime,
-    epochs: usize,
-    epoch_step: SimDuration,
-) -> Vec<TrafficSource> {
-    let _span = SOURCE_TABLE_NS.timer();
-    let covered = covered_countries();
-    let sites = cdn_sites();
-    let epoch_times: Vec<SimTime> = (0..epochs)
-        .map(|e| start + epoch_step.mul(e as u64))
-        .collect();
-    let snapshots: Vec<_> = epoch_times
-        .iter()
-        .map(|&t| net.snapshot(t, &schedule.plan_at(t)))
-        .collect();
+/// The epoch-independent half of the covered-city source table: every
+/// Starlink-covered city with its request weight, home PoP and the
+/// PoP's anycast leg to the nearest CDN site. Build it once per network
+/// and price each burst's epochs with [`Self::sources`].
+pub struct CoveredCities {
+    cities: Vec<CoveredCity>,
+}
 
-    let served: Vec<_> = cities()
-        .iter()
-        .filter(|city| covered.contains(&city.cc))
-        .collect();
-    // The PoP leg (home PoP, then anycast to the nearest CDN site) is
-    // epoch-independent: one per city, then one bent-pipe query per epoch.
-    par_map(&served, |_, city| {
-        let pop = home_pop(city.cc, city.position());
-        let (_, pop_to_site) = anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
-            .expect("sites non-empty");
-        let fallback_rtt: Vec<Latency> = snapshots
+struct CoveredCity {
+    position: Geodetic,
+    weight: u32,
+    pop: StarlinkPop,
+    pop_to_site: Latency,
+}
+
+impl CoveredCities {
+    /// Every covered city's ground half on `net`'s fibre model.
+    pub fn new(net: &LsnNetwork) -> Self {
+        let covered = covered_countries();
+        let sites = cdn_sites();
+        let served: Vec<_> = cities()
             .iter()
-            .map(|snap| {
-                snap.starlink_rtt_to_pop(city.position(), &pop, None)
-                    .map(|p| p.rtt + pop_to_site)
-                    .unwrap_or(Latency::from_ms(300.0))
+            .filter(|city| covered.contains(&city.cc))
+            .collect();
+        let cities = par_map(&served, |_, city| {
+            let pop = home_pop(city.cc, city.position());
+            let (_, pop_to_site) =
+                anycast_select(pop.position(), pop.city.region, &sites, net.fiber())
+                    .expect("sites non-empty");
+            CoveredCity {
+                position: city.position(),
+                // One weight unit per ~2M people, at least one — the same
+                // bucketing the fig7/fig8 city sampler uses.
+                weight: (city.population_k / 2000).max(1),
+                pop,
+                pop_to_site,
+            }
+        });
+        CoveredCities { cities }
+    }
+
+    /// The source table for `epochs` epochs from `start` (see
+    /// [`covered_traffic_sources`]; a long-lived session's bursts anchor
+    /// the timeline at its running clock): each city's ground-fallback
+    /// RTT per epoch is its bent pipe to its PoP on that epoch's snapshot
+    /// of `net` under `schedule`, plus the anycast leg. `net` must be the
+    /// network this table was built on.
+    pub fn sources(
+        &self,
+        net: &LsnNetwork,
+        schedule: &FaultSchedule,
+        start: SimTime,
+        epochs: usize,
+        epoch_step: SimDuration,
+    ) -> Vec<TrafficSource> {
+        let _span = SOURCE_TABLE_NS.timer();
+        let snapshots: Vec<_> = (0..epochs)
+            .map(|e| {
+                let t = start + epoch_step.mul(e as u64);
+                net.snapshot(t, &schedule.plan_at(t))
             })
             .collect();
-        TrafficSource {
-            position: city.position(),
-            // One weight unit per ~2M people, at least one — the same
-            // bucketing the fig7/fig8 city sampler uses.
-            weight: (city.population_k / 2000).max(1),
-            fallback_rtt,
-        }
-    })
+        par_map(&self.cities, |_, city| {
+            let fallback_rtt: Vec<Latency> = snapshots
+                .iter()
+                .map(|snap| {
+                    snap.starlink_rtt_to_pop(city.position, &city.pop, None)
+                        .map(|p| p.rtt + city.pop_to_site)
+                        .unwrap_or(Latency::from_ms(300.0))
+                })
+                .collect();
+            TrafficSource {
+                position: city.position,
+                weight: city.weight,
+                fallback_rtt,
+            }
+        })
+    }
 }
 
 /// One retrieval scenario per requested Starlink 2024 shell, all under
@@ -213,6 +243,16 @@ pub fn traffic_campaign(
     cfg: &TrafficCampaignConfig,
     schedule: &FaultSchedule,
 ) -> Vec<TrafficPoint> {
+    traffic_campaign_each(cfg, schedule, |_| {})
+}
+
+/// [`traffic_campaign`], calling `after` on each point as soon as its
+/// engine run returns (a benchmark reads per-run phase timers there).
+pub fn traffic_campaign_each(
+    cfg: &TrafficCampaignConfig,
+    schedule: &FaultSchedule,
+    mut after: impl FnMut(&TrafficPoint),
+) -> Vec<TrafficPoint> {
     let net = LsnNetwork::starlink();
     let sources = covered_traffic_sources(&net, schedule, cfg.epochs, cfg.epoch_step);
     let mut scenarios = starlink_shell_scenarios(&cfg.shells, schedule);
@@ -236,13 +276,15 @@ pub fn traffic_campaign(
         };
         let report = run_traffic_multishell(&mut scenarios, &sources, &engine_cfg);
         TRAFFIC_POINTS.incr();
-        points.push(TrafficPoint {
+        let point = TrafficPoint {
             fraction,
             hit_ratio: report.hit_ratio(),
             origin_offload: report.origin_offload(),
             latencies: report.latencies.clone(),
             report,
-        });
+        };
+        after(&point);
+        points.push(point);
     }
     points
 }

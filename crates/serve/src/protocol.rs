@@ -223,7 +223,12 @@ impl Command {
                     constellation: str_field(&value, "constellation").unwrap_or(d.constellation),
                     shells: u32s_field(&value, "shells").unwrap_or(d.shells),
                     streams: u64_field(&value, "streams").map_or(d.streams, |v| v as u32),
-                    catalog: u64_field(&value, "catalog").map_or(d.catalog, |v| v as u32),
+                    catalog: match u64_field(&value, "catalog") {
+                        Ok(v) => u32::try_from(v).map_err(|_| {
+                            format!("catalog must be at most {}, got {v}", u32::MAX)
+                        })?,
+                        Err(_) => d.catalog,
+                    },
                     zipf_alpha: f64_field(&value, "zipf_alpha").unwrap_or(d.zipf_alpha),
                     cache_mb: u64_field(&value, "cache_mb").map_or(d.cache_mb, |v| v as u32),
                     duty: f64_field(&value, "duty").unwrap_or(d.duty),
@@ -238,6 +243,12 @@ impl Command {
                 }
                 if !(0.0..=1.0).contains(&args.duty) {
                     return Err(format!("duty must be in [0, 1], got {}", args.duty));
+                }
+                if args.catalog < args.streams.max(1) {
+                    return Err(format!(
+                        "catalog must hold at least one object per stream, got catalog {} for {} streams",
+                        args.catalog, args.streams
+                    ));
                 }
                 Ok(Command::Create(args))
             }

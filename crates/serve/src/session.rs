@@ -26,11 +26,12 @@ use spacecdn_core::traffic::{
 use spacecdn_des::stream::{EventStream, Splice, Stepper};
 use spacecdn_geo::{DetRng, Geodetic, Latency, SimDuration, SimTime};
 use spacecdn_lsn::AccessModel;
-use spacecdn_measure::traffic::{covered_traffic_sources_from, starlink_shell_scenarios};
+use spacecdn_measure::traffic::{starlink_shell_scenarios, CoveredCities};
 use spacecdn_orbit::shell::shells;
 use spacecdn_orbit::Constellation;
 use spacecdn_telemetry::LazyCounter;
 use spacecdn_terra::fiber::FiberModel;
+use std::sync::OnceLock;
 
 static SESSIONS_CREATED: LazyCounter = LazyCounter::stable("serve.sessions.created");
 static SESSION_BURSTS: LazyCounter = LazyCounter::stable("serve.sessions.traffic_bursts");
@@ -57,6 +58,9 @@ pub struct Session {
     /// Calibrated network the population-weighted source table rides
     /// (starlink sessions only; `None` for the synthetic test grid).
     source_net: Option<LsnNetwork>,
+    /// The source table's epoch-independent half on `source_net`, built
+    /// by the first burst and reused by every later one.
+    covered: OnceLock<CoveredCities>,
     clock: SimTime,
     /// Pending schedule-refresh instants from injected faults, driven in
     /// time order by `advance`.
@@ -125,6 +129,7 @@ impl Session {
         Ok(Session {
             scenarios,
             source_net,
+            covered: OnceLock::new(),
             clock: SimTime::EPOCH,
             refreshes: Stepper::new(Splice::new()),
             fetch_rng,
@@ -361,7 +366,8 @@ impl Session {
     /// starlink sessions, a fixed synthetic grid for the test shell.
     fn sources_for(&self, start: SimTime, epochs: usize, step: SimDuration) -> Vec<TrafficSource> {
         if let Some(net) = &self.source_net {
-            covered_traffic_sources_from(net, self.scenarios[0].schedule(), start, epochs, step)
+            let covered = self.covered.get_or_init(|| CoveredCities::new(net));
+            covered.sources(net, self.scenarios[0].schedule(), start, epochs, step)
         } else {
             // A deterministic city grid spanning latitudes the test shell
             // covers; fallback RTT fixed so reports are easy to reason

@@ -458,6 +458,33 @@ fn rejected_create_leaves_no_journal_file() {
 }
 
 #[test]
+fn create_with_catalog_below_streams_is_rejected_before_journaling() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("smallcatalog");
+    let mut c = daemon.client();
+    for fields in [
+        "\"catalog\":0",
+        "\"catalog\":0,\"streams\":0",
+        "\"catalog\":3,\"streams\":4",
+        // 2^32 + 5 would truncate to 5.
+        "\"catalog\":4294967301",
+    ] {
+        let resp = c.rejected(&format!(
+            "{{\"op\":\"create\",\"session\":\"cat\",\"constellation\":\"test\",{fields}}}"
+        ));
+        assert!(resp.contains("catalog"), "{fields} -> {resp}");
+        assert!(!daemon.journal("cat").exists(), "{fields} left a journal");
+    }
+    // One object per stream is enough, and the name is still free.
+    c.ok("{\"op\":\"create\",\"session\":\"cat\",\"constellation\":\"test\",\"catalog\":4,\"streams\":4}");
+    c.ok("{\"op\":\"traffic\",\"session\":\"cat\",\"requests\":200}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"cat\"}");
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("cat")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
 fn advance_that_would_overflow_the_clock_is_rejected() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let daemon = start_daemon("overflow");
