@@ -6,7 +6,7 @@ use spacecdn_geo::{Geodetic, SimTime};
 use spacecdn_lsn::{
     bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into, hop_distances,
     hop_distances_into, hop_distances_many, set_routing_cache_override, FaultPlan, IslEdge,
-    IslGraph, SourceTables,
+    IslGraph, RoutingBall,
 };
 use spacecdn_orbit::shell::shells;
 use spacecdn_orbit::{Constellation, SatIndex};
@@ -117,15 +117,15 @@ fn bench_routing(c: &mut Criterion) {
         b.iter(|| bfs_nearest(black_box(&graph), src, 10, |s| s == dst || s == SatIndex(3)))
     });
 
-    // Cached vs uncached full-table lookups: `routing_tables` memoizes per
-    // (snapshot, source), so steady-state hits are a map probe + Arc clone
-    // vs a full Dijkstra + BFS recomputation.
-    c.bench_function("routing_tables_uncached", |b| {
-        b.iter(|| SourceTables::compute(black_box(&graph), src))
+    // Cached vs uncached 10-hop ball lookups: `routing_tables_within`
+    // memoizes per (snapshot, source), so steady-state hits are a map
+    // probe + Arc clone vs a bounded BFS + Dijkstra walk.
+    c.bench_function("routing_ball_10_uncached", |b| {
+        b.iter(|| RoutingBall::compute(black_box(&graph), src, 10, None))
     });
-    c.bench_function("routing_tables_cached", |b| {
-        graph.routing_tables(src); // warm the entry once
-        b.iter(|| graph.routing_tables(black_box(src)))
+    c.bench_function("routing_ball_10_cached", |b| {
+        graph.routing_tables_within(src, 10); // warm the entry once
+        b.iter(|| graph.routing_tables_within(black_box(src), 10))
     });
 
     // Spatial-index vs linear nearest-alive queries over a ground grid.

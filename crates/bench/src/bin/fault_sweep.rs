@@ -68,8 +68,6 @@ struct TimelineReport {
     delta_advances: u64,
     full_builds: u64,
     patched_edges: u64,
-    repaired_vertices: u64,
-    full_fallbacks: u64,
     advance_mean_us: f64,
     advance_max_us: f64,
     advance_us_series: Vec<f64>,
@@ -134,8 +132,6 @@ fn dense_timeline(net: &LsnNetwork, schedule: &FaultSchedule, epoch_step_s: u64)
         delta_advances: after.delta_advances - before.delta_advances,
         full_builds: after.full_builds - before.full_builds,
         patched_edges: after.patched_edges - before.patched_edges,
-        repaired_vertices: after.repaired_vertices - before.repaired_vertices,
-        full_fallbacks: after.full_fallbacks - before.full_fallbacks,
         advance_mean_us: series.iter().sum::<f64>() / series.len() as f64,
         advance_max_us: series.iter().fold(0.0f64, |a, &b| a.max(b)),
         advance_us_series: series,
@@ -393,15 +389,14 @@ fn main() {
     let timeline = dense_timeline(&net, &timeline_schedule, epoch_step_s);
     println!(
         "timeline: {} epochs x {} s — {:.1} us mean / {:.1} us max per advance \
-         ({} delta, {} full builds, {} edges patched, {} fallbacks)",
+         ({} delta, {} full builds, {} edges patched)",
         timeline.epochs,
         timeline.epoch_step_s,
         timeline.advance_mean_us,
         timeline.advance_max_us,
         timeline.delta_advances,
         timeline.full_builds,
-        timeline.patched_edges,
-        timeline.full_fallbacks
+        timeline.patched_edges
     );
 
     let report = Report {

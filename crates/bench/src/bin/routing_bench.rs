@@ -136,8 +136,6 @@ struct TimelineBench {
     delta_advances: u64,
     full_builds: u64,
     patched_edges: u64,
-    repaired_vertices: u64,
-    full_fallbacks: u64,
     timeline_identical: bool,
 }
 
@@ -259,8 +257,6 @@ fn timeline_bench(sink: &mut u64) -> TimelineBench {
         delta_advances: after.delta_advances - before.delta_advances,
         full_builds: after.full_builds - before.full_builds,
         patched_edges: after.patched_edges - before.patched_edges,
-        repaired_vertices: after.repaired_vertices - before.repaired_vertices,
-        full_fallbacks: after.full_fallbacks - before.full_fallbacks,
         advance_ns_total: after.advance_ns_total - before.advance_ns_total,
     };
     let mean_us = |steps: &[f64]| 1e6 * steps.iter().sum::<f64>() / steps.len() as f64;
@@ -276,8 +272,6 @@ fn timeline_bench(sink: &mut u64) -> TimelineBench {
         delta_advances: stats.delta_advances,
         full_builds: stats.full_builds,
         patched_edges: stats.patched_edges,
-        repaired_vertices: stats.repaired_vertices,
-        full_fallbacks: stats.full_fallbacks,
         timeline_identical: identical,
     }
 }
@@ -389,13 +383,10 @@ fn main() {
         timeline.rebuild_step_mean_us, timeline.delta_step_mean_us, timeline.delta_step_max_us
     );
     println!(
-        "          delta advances {} / full builds {}  patched edges {}  \
-         repaired vertices {}  fallbacks {}  identical: {}",
+        "          delta advances {} / full builds {}  patched edges {}  identical: {}",
         timeline.delta_advances,
         timeline.full_builds,
         timeline.patched_edges,
-        timeline.repaired_vertices,
-        timeline.full_fallbacks,
         timeline.timeline_identical
     );
 

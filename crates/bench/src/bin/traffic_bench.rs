@@ -28,8 +28,9 @@ use std::time::Instant;
 /// Schema tag: v2 added `shells`, `per_shell` rows, `requests_per_fraction`
 /// and `peak_rss_bytes`; v3 added `epoch_step_s` and the `advance` block
 /// (delta-vs-full epoch advancement counts and per-step advance time); v4
-/// added the `phases` block (per-burst medians of the burst phase timers).
-const SCHEMA: &str = "spacecdn-traffic-v4";
+/// added the `phases` block (per-burst medians of the burst phase timers);
+/// v5 dropped `repaired_vertices` and `full_fallbacks` from `advance`.
+const SCHEMA: &str = "spacecdn-traffic-v5";
 
 /// The racy phase timers of a traffic burst, in [`PhaseTimes`] order.
 const PHASE_TIMERS: [&str; 4] = [
@@ -74,8 +75,6 @@ struct AdvanceStats {
     delta_advances: u64,
     full_builds: u64,
     patched_edges: u64,
-    repaired_vertices: u64,
-    full_fallbacks: u64,
     delta_advance_mean_us: f64,
 }
 
@@ -315,8 +314,6 @@ fn main() {
         delta_advances: da,
         full_builds: advance_after.full_builds - advance_before.full_builds,
         patched_edges: advance_after.patched_edges - advance_before.patched_edges,
-        repaired_vertices: advance_after.repaired_vertices - advance_before.repaired_vertices,
-        full_fallbacks: advance_after.full_fallbacks - advance_before.full_fallbacks,
         delta_advance_mean_us: (advance_after.advance_ns_total - advance_before.advance_ns_total)
             as f64
             / 1e3
@@ -324,13 +321,11 @@ fn main() {
     };
     println!(
         "epoch advancement: {} delta / {} full builds · {:.1} us mean delta step \
-         ({} edges patched, {} vertices repaired, {} fallbacks)",
+         ({} edges patched)",
         advance.delta_advances,
         advance.full_builds,
         advance.delta_advance_mean_us,
-        advance.patched_edges,
-        advance.repaired_vertices,
-        advance.full_fallbacks
+        advance.patched_edges
     );
     match &phases {
         Some(p) => println!(

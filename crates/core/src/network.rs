@@ -38,16 +38,6 @@ static NETWORK_SNAPSHOTS: LazyCounter = LazyCounter::stable("core.network.snapsh
 /// *graphs produced* are bit-identical either way).
 static DELTA_PATCHED_EDGES: LazyCounter = LazyCounter::racy("core.routing.delta.patched_edges");
 
-/// Routing-table entries recomputed by the sparse dynamic-SSSP repair
-/// (racy, same reason as `patched_edges`).
-static DELTA_REPAIRED_VERTICES: LazyCounter =
-    LazyCounter::racy("core.routing.delta.repaired_vertices");
-
-/// Warmed source tables dropped to a cold recompute because the affected
-/// region crossed the repair threshold, or the step was not a pure removal
-/// (racy, same reason as `patched_edges`).
-static DELTA_FULL_FALLBACKS: LazyCounter = LazyCounter::racy("core.routing.delta.full_fallbacks");
-
 /// Wall-clock nanoseconds per delta-path epoch advancement (racy: timing).
 static DELTA_ADVANCE_NS: LazyHistogram =
     LazyHistogram::racy("core.routing.delta.advance_ns", Unit::Nanos);
@@ -58,8 +48,6 @@ static DELTA_ADVANCE_NS: LazyHistogram =
 static STAT_DELTA_ADVANCES: AtomicU64 = AtomicU64::new(0);
 static STAT_FULL_BUILDS: AtomicU64 = AtomicU64::new(0);
 static STAT_PATCHED_EDGES: AtomicU64 = AtomicU64::new(0);
-static STAT_REPAIRED_VERTICES: AtomicU64 = AtomicU64::new(0);
-static STAT_FULL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static STAT_ADVANCE_NS_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative process-wide delta advancement statistics (see
@@ -72,10 +60,6 @@ pub struct DeltaStats {
     pub full_builds: u64,
     /// ISL rows rewritten across all delta advancements.
     pub patched_edges: u64,
-    /// Routing-table entries recomputed by the sparse repair.
-    pub repaired_vertices: u64,
-    /// Warmed tables dropped to a cold recompute instead of repaired.
-    pub full_fallbacks: u64,
     /// Total wall-clock nanoseconds spent inside `apply_delta`.
     pub advance_ns_total: u64,
 }
@@ -87,8 +71,6 @@ pub fn delta_stats() -> DeltaStats {
         delta_advances: STAT_DELTA_ADVANCES.load(Ordering::Relaxed),
         full_builds: STAT_FULL_BUILDS.load(Ordering::Relaxed),
         patched_edges: STAT_PATCHED_EDGES.load(Ordering::Relaxed),
-        repaired_vertices: STAT_REPAIRED_VERTICES.load(Ordering::Relaxed),
-        full_fallbacks: STAT_FULL_FALLBACKS.load(Ordering::Relaxed),
         advance_ns_total: STAT_ADVANCE_NS_TOTAL.load(Ordering::Relaxed),
     }
 }
@@ -299,8 +281,8 @@ impl LsnNetwork {
     /// [`Self::snapshot`], but with an optional previous epoch's graph to
     /// advance from. When delta advancement is enabled (see
     /// [`delta_enabled`]) and `prev` covers the same constellation, the new
-    /// graph is produced by patching `prev`'s CSR in place and repairing
-    /// its warmed routing tables instead of rebuilding — bit-identical to a
+    /// graph is produced by patching `prev`'s CSR in place instead of
+    /// rebuilding (with an empty routing cache) — bit-identical to a
     /// fresh build (proven by the timeline oracle), typically several times
     /// cheaper on dense timelines. Pooled either way under the same key a
     /// fresh build would use, so pooled lookups never see a difference.
@@ -374,13 +356,9 @@ impl LsnNetwork {
         let (graph, stats) = prev.apply_delta(&self.constellation, t, faults);
         let ns = started.elapsed().as_nanos() as u64;
         DELTA_PATCHED_EDGES.add(stats.patched_edges);
-        DELTA_REPAIRED_VERTICES.add(stats.repaired_vertices);
-        DELTA_FULL_FALLBACKS.add(stats.full_fallbacks);
         DELTA_ADVANCE_NS.record(ns);
         STAT_DELTA_ADVANCES.fetch_add(1, Ordering::Relaxed);
         STAT_PATCHED_EDGES.fetch_add(stats.patched_edges, Ordering::Relaxed);
-        STAT_REPAIRED_VERTICES.fetch_add(stats.repaired_vertices, Ordering::Relaxed);
-        STAT_FULL_FALLBACKS.fetch_add(stats.full_fallbacks, Ordering::Relaxed);
         STAT_ADVANCE_NS_TOTAL.fetch_add(ns, Ordering::Relaxed);
         graph
     }

@@ -60,7 +60,6 @@ pub struct ScenarioBuilder {
     graceful: bool,
     cache_policy: PolicyKind,
     placement: Option<PlacementSpec>,
-    start: SimTime,
 }
 
 impl ScenarioBuilder {
@@ -124,23 +123,18 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Epoch the session opens at (default: [`SimTime::EPOCH`]).
-    #[must_use]
-    pub fn start_at(mut self, t: SimTime) -> Self {
-        self.start = t;
-        self
-    }
-
-    /// Build the session, constructing the opening snapshot.
+    /// Build the session, constructing the opening snapshot at
+    /// [`SimTime::EPOCH`].
     pub fn build(self) -> Scenario {
+        let start = SimTime::EPOCH;
         let graph = self
             .net
-            .snapshot(self.start, &self.schedule.plan_at(self.start))
+            .snapshot(start, &self.schedule.plan_at(start))
             .graph_handle();
         Scenario {
             net: self.net,
             schedule: self.schedule,
-            epoch: self.start,
+            epoch: start,
             graph,
             copies: self.copies,
             escalation: self.escalation,
@@ -164,7 +158,6 @@ impl Scenario {
             graceful: true,
             cache_policy: PolicyKind::from_env(),
             placement: PlacementSpec::from_env(),
-            start: SimTime::EPOCH,
         }
     }
 
@@ -211,8 +204,8 @@ impl Scenario {
 
     /// Move the session to epoch `t`: lower the fault schedule to that
     /// instant and swap in the (pooled) topology snapshot. The outgoing
-    /// epoch's graph seeds delta advancement (patch + table repair instead
-    /// of a rebuild) unless `SPACECDN_NO_DELTA` turned that off — either
+    /// epoch's graph seeds delta advancement (a CSR patch instead of a
+    /// rebuild) unless `SPACECDN_NO_DELTA` turned that off — either
     /// way the resulting snapshot is bit-identical.
     pub fn advance_to(&mut self, t: SimTime) {
         SCENARIO_ADVANCES.incr();

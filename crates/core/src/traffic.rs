@@ -1175,7 +1175,8 @@ pub struct Overhead {
 /// The [`Overhead`] of every ground point in `users` on every graph in
 /// `graphs`, as `[graph][user]` (`None` where no satellite is servable),
 /// with tables exact out to `radius` hops
-/// ([`IslGraph::routing_tables_within`]; `u32::MAX` builds full tables).
+/// ([`IslGraph::routing_tables_within`]; `u32::MAX` covers each source's
+/// whole component).
 ///
 /// `fallback(g, u)` is the ground-fallback RTT user `u`'s fetches on
 /// graph `g` are served against (an infinite one keeps whole balls). A
@@ -1982,8 +1983,8 @@ mod tests {
         let uncut = |_, _| Latency(f64::INFINITY);
         let check = |graphs: &[&IslGraph]| {
             let resolved = resolve_overheads(graphs, &users, 10, uncut);
-            // Full tables for the same users: a cached full table then
-            // answers the ball lookups above it.
+            // Whole-component balls for the same users, replacing the
+            // radius-10 ones in each graph's cache.
             let full = resolve_overheads(graphs, &users, u32::MAX, uncut);
             assert_eq!(resolved.len(), graphs.len());
             for ((graph, row), full_row) in graphs.iter().zip(&resolved).zip(&full) {

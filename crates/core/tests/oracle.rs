@@ -29,7 +29,7 @@ use spacecdn_core::{
 };
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Ecef, Geodetic, Km, Latency, SimDuration, SimTime};
-use spacecdn_lsn::{AccessModel, FaultPlan, FaultSchedule, IslEdge, IslGraph};
+use spacecdn_lsn::{AccessModel, FaultPlan, FaultSchedule, IslEdge, IslGraph, SourceTables};
 use spacecdn_orbit::shell::ShellConfig;
 use spacecdn_orbit::{Constellation, SatIndex};
 use spacecdn_terra::fiber::FiberModel;
@@ -564,7 +564,7 @@ fn check_case(
 
     // 2. Full routing tables from the user's overhead satellite.
     if let Some((overhead, _)) = graph.nearest_alive(user) {
-        let tables = graph.routing_tables(overhead);
+        let tables = SourceTables::compute(graph, overhead);
         let (want_km, want_hops) = ref_tables(&reference, overhead);
         for i in 0..graph.len() {
             assert_eq!(

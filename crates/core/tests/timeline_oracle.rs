@@ -3,16 +3,17 @@
 //! The PR-4 oracle proves one frozen snapshot matches a naive reference
 //! pipeline. This suite proves the *timeline* dimension: walking a fault
 //! schedule epoch by epoch through the delta path — CSR patching, spatial
-//! bound inflation, routing-table carry/repair — produces graphs and
-//! tables **bit-identical** to rebuilding everything from scratch at every
-//! single step. Any last-ulp divergence in a patched length mantissa, a
-//! reordered adjacency row, a stale mask bit, or a repaired Dijkstra entry
-//! fails here before it can skew a campaign artefact.
+//! bound inflation, a fresh routing cache per snapshot — produces graphs
+//! and cached routing balls **bit-identical** to rebuilding everything
+//! from scratch at every single step. Any last-ulp divergence in a
+//! patched length mantissa, a reordered adjacency row, a stale mask bit,
+//! or a routing ball carried over from the previous snapshot fails here
+//! before it can skew a campaign artefact.
 
 use spacecdn_core::{delta_stats, set_delta_override, LsnNetwork};
 use spacecdn_engine::set_snapshot_pool_override;
-use spacecdn_geo::{DetRng, Geodetic, SimTime};
-use spacecdn_lsn::{AccessModel, FaultPlan, IslGraph, SourceTables};
+use spacecdn_geo::{DetRng, Geodetic, Latency, SimTime};
+use spacecdn_lsn::{AccessModel, FallbackCut, FaultPlan, IslGraph, RoutingBall, SourceTables};
 use spacecdn_orbit::{Constellation, SatIndex};
 use spacecdn_terra::fiber::FiberModel;
 use std::sync::{Arc, Mutex};
@@ -73,35 +74,95 @@ fn assert_graphs_identical(label: &str, got: &IslGraph, want: &IslGraph) {
     }
 }
 
-/// Warmed tables on the patched lineage vs a cold compute on the fresh
-/// build: km mantissas, kilometre-optimal route hops, BFS levels.
-fn assert_tables_identical(label: &str, got: &IslGraph, fresh: &IslGraph, sources: &[SatIndex]) {
-    for &src in sources {
-        let have = got.routing_tables(src);
-        let want = SourceTables::compute(fresh, src);
-        for (i, (a, b)) in have.km.iter().zip(&want.km).enumerate() {
-            assert_eq!(
-                a.0.to_bits(),
-                b.0.to_bits(),
-                "{label}: km bits diverge (src {src:?}, dst {i})"
-            );
-            assert_eq!(
-                a.1, b.1,
-                "{label}: route hops diverge (src {src:?}, dst {i})"
-            );
-        }
-        assert_eq!(
-            have.hops, want.hops,
-            "{label}: BFS levels diverge (src {src:?})"
-        );
+/// The ball each source is warmed and read with: the whole component,
+/// a 3-hop ball, or a whole-radius ball cut at a 40 ms fallback (the
+/// test shells' links are thousands of km long, so the cut fires).
+fn ball_query(k: usize) -> (u32, Option<FallbackCut>) {
+    match k % 3 {
+        0 => (u32::MAX, None),
+        1 => (3, None),
+        _ => (
+            u32::MAX,
+            Some(FallbackCut {
+                user_prop: Latency::from_ms(4.0),
+                fallback: Latency::from_ms(40.0),
+            }),
+        ),
     }
+}
+
+fn ball(g: &IslGraph, k: usize, src: SatIndex) -> RoutingBall {
+    match ball_query(k) {
+        (radius, None) => g.routing_tables_within(src, radius),
+        (radius, Some(cut)) => g.routing_tables_cut(src, radius, cut),
+    }
+}
+
+/// Warm `g`'s routing cache with every source's ball.
+fn warm_balls(g: &IslGraph, sources: &[SatIndex]) {
+    for (k, &src) in sources.iter().enumerate() {
+        ball(g, k, src);
+    }
+}
+
+/// Each source's ball read through `got`'s cache vs a cold full-table
+/// compute on the fresh build: members exactly the satellites within the
+/// radius that the cut keeps, with their km mantissas, kilometre-optimal
+/// route hops and BFS levels; everything else unreachable. Returns how
+/// many satellites the cuts dropped.
+fn assert_balls_identical(
+    label: &str,
+    got: &IslGraph,
+    fresh: &IslGraph,
+    sources: &[SatIndex],
+) -> usize {
+    let mut dropped = 0;
+    for (k, &src) in sources.iter().enumerate() {
+        let (radius, cut) = ball_query(k);
+        let have = ball(got, k, src);
+        let want = SourceTables::compute(fresh, src);
+        for i in 0..fresh.len() {
+            let dst = SatIndex(i as u32);
+            let (km, route) = have.km(dst);
+            let within = want.hops[i] <= radius;
+            let cut_off = cut.is_some_and(|c| c.fires(want.km[i].0));
+            if within && !cut_off {
+                assert_eq!(
+                    km.to_bits(),
+                    want.km[i].0.to_bits(),
+                    "{label}: km bits diverge (src {src:?}, dst {i})"
+                );
+                assert_eq!(
+                    route, want.km[i].1,
+                    "{label}: route hops diverge (src {src:?}, dst {i})"
+                );
+                assert_eq!(
+                    have.hops(dst),
+                    want.hops[i],
+                    "{label}: BFS level diverges (src {src:?}, dst {i})"
+                );
+            } else {
+                dropped += usize::from(within && want.hops[i] != u32::MAX);
+                assert_eq!(
+                    (have.hops(dst), route),
+                    (u32::MAX, u32::MAX),
+                    "{label}: non-member reads reachable (src {src:?}, dst {i})"
+                );
+                assert!(
+                    km.is_infinite(),
+                    "{label}: non-member km (src {src:?}, dst {i})"
+                );
+            }
+        }
+    }
+    dropped
 }
 
 /// The main sweep: ≥200 randomized timeline steps across ~24 randomized
 /// (shell × schedule) walks, each step advanced through the delta path
 /// and compared bit-for-bit against a from-scratch rebuild — with the
-/// routing cache warmed on every intermediate graph so table carry and
-/// repair are continuously under test.
+/// routing cache warmed on every intermediate graph, so a ball carried
+/// into the next snapshot's cache would be read, and caught.
 #[test]
 fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -112,6 +173,7 @@ fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
     const WALKS: usize = 24;
     const STEPS: usize = 10;
     let mut total_steps = 0usize;
+    let mut dropped = 0usize;
     for walk in 0..WALKS {
         let mut rng = DetRng::new(9000 + walk as u64, "timeline-oracle/walk");
         let shell = small_shell(&mut rng);
@@ -124,9 +186,7 @@ fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
         let mut t = SimTime(rng.uniform(0.0, 3_600_000.0) as u64);
         let mut cur: Arc<IslGraph> = net.snapshot(t, &schedule.plan_at(t)).graph_handle();
         for step in 0..STEPS {
-            for &src in &sources {
-                cur.routing_tables(src);
-            }
+            warm_balls(&cur, &sources);
             // Mostly dense sub-15 s steps, sometimes a same-instant step
             // (epoch boundary replays) or a long jump.
             let dt = match rng.index(8) {
@@ -140,12 +200,13 @@ fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
             let fresh = IslGraph::build(c, t, &plan);
             let label = format!("walk {walk} step {step} (dt {dt} ms)");
             assert_graphs_identical(&label, &next, &fresh);
-            assert_tables_identical(&label, &next, &fresh, &sources);
+            dropped += assert_balls_identical(&label, &next, &fresh, &sources);
             cur = next;
             total_steps += 1;
         }
     }
     assert!(total_steps >= 200, "only {total_steps} timeline steps run");
+    assert!(dropped > 0, "no cut ever dropped a member");
 
     // The walk must actually have gone through the delta path.
     let after = delta_stats();
@@ -159,17 +220,19 @@ fn timeline_walk_matches_fresh_rebuild_bit_for_bit() {
     set_snapshot_pool_override(None);
 }
 
-/// Same-instant pure-removal steps over a warmed cache: the sparse
-/// dynamic-SSSP repair path (and its over-threshold fallback) must land on
-/// exactly the fresh build's tables. This is the one branch a lowered
-/// schedule cannot reach (plans only change *across* instants), so it gets
-/// a dedicated walk with hand-stepped fault plans.
+/// Same-instant pure-removal steps over a warmed cache: the patched
+/// graph and the balls its cache serves must land on exactly the fresh
+/// build's graph and tables. A lowered schedule cannot reach this step
+/// (plans only change *across* instants), so it gets a dedicated walk
+/// with hand-stepped fault plans.
 #[test]
-fn same_instant_removals_repair_tables_bit_for_bit() {
+fn same_instant_removals_match_fresh_rebuild_bit_for_bit() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     set_snapshot_pool_override(Some(false));
     set_delta_override(Some(true));
     let before = delta_stats();
+    let mut steps = 0u64;
+    let mut dropped = 0usize;
 
     for case in 0..16u64 {
         let mut rng = DetRng::new(5000 + case, "timeline-oracle/removal");
@@ -184,9 +247,7 @@ fn same_instant_removals_repair_tables_bit_for_bit() {
         // Kill satellites and links one batch at a time without moving the
         // clock: each step is a pure removal on a warmed cache.
         for step in 0..4 {
-            for &src in &sources {
-                cur.routing_tables(src);
-            }
+            warm_balls(&cur, &sources);
             for _ in 0..=rng.index(2) {
                 plan.fail_sat(SatIndex(rng.index(c.len()) as u32));
             }
@@ -197,17 +258,18 @@ fn same_instant_removals_repair_tables_bit_for_bit() {
             let fresh = IslGraph::build(c, t, &plan);
             let label = format!("removal case {case} step {step}");
             assert_graphs_identical(&label, &next, &fresh);
-            assert_tables_identical(&label, &next, &fresh, &sources);
+            dropped += assert_balls_identical(&label, &next, &fresh, &sources);
             cur = next;
+            steps += 1;
         }
     }
+    assert!(dropped > 0, "no cut ever dropped a member");
 
-    // The sweep must have exercised the repair fast path, or the claim
-    // above silently degenerates to "fallback recompute works".
+    // Every step must have gone through the delta path.
     let after = delta_stats();
     assert!(
-        after.repaired_vertices > before.repaired_vertices,
-        "sparse repair never ran"
+        after.delta_advances - before.delta_advances >= steps,
+        "delta path not taken"
     );
 
     set_delta_override(None);
@@ -215,7 +277,7 @@ fn same_instant_removals_repair_tables_bit_for_bit() {
 }
 
 /// The kill switch is inert on results: a delta-on walk and a delta-off
-/// walk over the same schedule produce bit-identical graphs and tables at
+/// walk over the same schedule produce bit-identical graphs and balls at
 /// every epoch.
 #[test]
 fn kill_switch_walks_are_bit_identical() {
@@ -239,9 +301,7 @@ fn kill_switch_walks_are_bit_identical() {
             let g = net
                 .snapshot_from(t, &schedule.plan_at(t), prev.as_ref())
                 .graph_handle();
-            for &src in &sources {
-                g.routing_tables(src);
-            }
+            warm_balls(&g, &sources);
             prev = Some(Arc::clone(&g));
             out.push(g);
         }
@@ -252,7 +312,7 @@ fn kill_switch_walks_are_bit_identical() {
     for (i, (a, b)) in with_delta.iter().zip(&without).enumerate() {
         let label = format!("epoch {i}");
         assert_graphs_identical(&label, a, b);
-        assert_tables_identical(&label, a, b, &sources);
+        assert_balls_identical(&label, a, b, &sources);
     }
 
     set_delta_override(None);

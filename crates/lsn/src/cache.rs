@@ -1,36 +1,34 @@
 //! Epoch-scoped routing cache.
 //!
-//! Campaign code asks the same snapshot for full single-source routing
-//! tables over and over: every synthetic RTT measurement from a city runs
-//! a Dijkstra from that city's overhead satellite, and every retrieval
-//! trial additionally wants BFS hop levels from the same source. Within
-//! one snapshot the graph never changes, so those tables are pure
-//! functions of (snapshot, source) — the cache memoizes them behind an
-//! `RwLock` so concurrent experiment tasks share a single computation per
-//! source satellite.
+//! Every routing query a campaign makes looks within a hop budget (the
+//! Figure 6 ladder tops out at 10 ISL hops), so the cache holds one kind
+//! of entry: a [`RoutingBall`], the satellites within a BFS radius of a
+//! source, each with the entries the full single-source tables
+//! ([`SourceTables`]) hold for it. The [`ball_members`] kernel builds it
+//! for a fraction of the full pair's cost, and it is stored as just those
+//! members, sorted by satellite — a few hundred entries where the full
+//! tables hold one per satellite of the shell. Within one snapshot the
+//! graph never changes, so a ball is a pure function of its query; the
+//! cache memoizes one per source satellite behind an `RwLock`, so
+//! concurrent experiment tasks share a single walk per source.
 //!
-//! Callers that only look within a hop budget (the Figure 6 ladder tops
-//! out at 10 ISL hops) ask for a [`RoutingBall`] instead: the satellites
-//! within a BFS radius, each with its full-table entries, built by the
-//! [`ball_members`] kernel for a fraction of the full pair's cost and
-//! stored as just those members, sorted by satellite — a few hundred
-//! entries where the full tables hold one per satellite of the shell.
 //! A traffic burst's balls may also carry a [`FallbackCut`]: their walk
 //! stops once no unsettled satellite can beat the ground fallback, so
-//! they hold only the members settled before the cut fired. A ball that
-//! holds its source's whole component uncut *is* the full tables and is
-//! densified into them. Balls are memoized beside the full tables under
-//! one reuse rule — a cached full table answers any query; a cached ball
-//! answers a query whose radius fits in its own and, if the ball was cut,
-//! whose own cut fires at the km the ball's walk stopped (so the query's
-//! walk would have settled no more); anything else is computed, and
-//! replaces the cached ball unless that one answers everything the new
-//! one does. Each satellite holds at most one ball entry.
+//! they hold only the members settled before the cut fired. One reuse
+//! rule serves every query: a cached ball answers a query whose radius
+//! fits in its own (any radius, when the ball holds its source's whole
+//! component) and, if the ball was cut, whose own cut fires at the km the
+//! ball's walk stopped (so the query's walk would have settled no more);
+//! anything else is computed, and replaces the cached ball unless that
+//! one answers everything the new one does.
 //!
 //! The cache is owned by (and shares the lifetime of) one [`IslGraph`];
-//! rebuilding the snapshot for the next epoch starts from an empty cache,
-//! which is what keeps entries trivially consistent — there is no
-//! invalidation, keys live exactly as long as the topology they describe.
+//! every new snapshot, whether built fresh or patched by
+//! [`IslGraph::apply_delta`], starts from an empty cache, which is what
+//! keeps entries trivially consistent — there is no invalidation, keys
+//! live exactly as long as the topology they describe.
+//! [`SourceTables::compute`] is the uncached full-table reference that
+//! tests compare balls against.
 //!
 //! `std::sync::RwLock` is used rather than `parking_lot` because the
 //! build environment is offline (no crates.io access; see `vendor/`) and
@@ -44,7 +42,7 @@ use spacecdn_telemetry::LazyCounter;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Cache-wide registry counters, aggregated across every `RoutingCache`
@@ -52,14 +50,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// may both miss, so the hit/miss split depends on scheduling.
 static CACHE_HIT: LazyCounter = LazyCounter::racy("lsn.routing_cache.hit");
 static CACHE_MISS: LazyCounter = LazyCounter::racy("lsn.routing_cache.miss");
-static CACHE_REVERSE_HIT: LazyCounter = LazyCounter::racy("lsn.routing_cache.reverse_hit");
-/// Misses answered with a carried hop table from the previous epoch's
-/// cache (the BFS half skipped; only the Dijkstra half recomputed). Racy
-/// for the same reason as the hit/miss split.
-static CACHE_HOP_SEED: LazyCounter = LazyCounter::racy("lsn.routing_cache.hop_seed_hits");
 
-/// Memoized single-source routing tables for one source satellite in one
-/// snapshot.
+/// Full single-source routing tables for one source satellite in one
+/// snapshot: the uncached reference a [`RoutingBall`] reads like.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceTables {
     /// Per-destination `(kilometres, hop count)` of the cheapest-by-distance
@@ -71,26 +64,12 @@ pub struct SourceTables {
 }
 
 impl SourceTables {
-    /// Compute the tables directly (the uncached path).
+    /// Compute the tables directly.
     pub fn compute(graph: &IslGraph, src: SatIndex) -> Self {
         SourceTables {
             km: dijkstra_distances(graph, src),
             hops: hop_distances(graph, src),
         }
-    }
-
-    /// The full tables of a ball that holds its source's whole component
-    /// (every satellite outside it is unreachable from the source).
-    fn from_members(n: usize, members: &[BallMember]) -> Self {
-        let mut tables = SourceTables {
-            km: vec![(f64::INFINITY, u32::MAX); n],
-            hops: vec![u32::MAX; n],
-        };
-        for m in members {
-            tables.km[m.sat.as_usize()] = (m.km, m.route_hops);
-            tables.hops[m.sat.as_usize()] = m.hops;
-        }
-        tables
     }
 }
 
@@ -101,74 +80,40 @@ impl SourceTables {
 /// settled before the cut fired; the rest read as unreachable too.
 ///
 /// A distinct type from [`SourceTables`] so that no full-table consumer
-/// can be handed a truncated table. A ball is backed either by the
-/// members a [`ball_members`] walk settled, sorted by satellite, or by
-/// full tables; a wider (or less cut) ball or full tables may back a
-/// narrower query (see [`RoutingCache::ball_for`]). Every read masks by
-/// `radius`, so every backing reads identically within the entries the
-/// query needs.
+/// can be handed a truncated table. A ball holds the members a
+/// [`ball_members`] walk settled, sorted by satellite; a wider (or less
+/// cut) cached ball may back a narrower query (see
+/// [`RoutingCache::ball_for`]). Every read masks by `radius`, so a ball
+/// reads identically within the entries the query needs, whichever walk
+/// backs it.
 #[derive(Debug, Clone)]
 pub struct RoutingBall {
     radius: u32,
-    /// Exact for every satellite within `radius` hops (and possibly
-    /// beyond, when a wider ball or the full tables back this one).
-    backing: Backing,
-}
-
-#[derive(Debug, Clone)]
-enum Backing {
-    /// Full tables: a dense entry per satellite.
-    Full(Arc<SourceTables>),
-    /// A walk's members, ascending by satellite; nothing else is held.
-    Members(Arc<Vec<BallMember>>),
+    /// Ascending by satellite; exact for every satellite within `radius`
+    /// hops (and possibly beyond, when a wider ball backs this one).
+    members: Arc<Vec<BallMember>>,
 }
 
 impl RoutingBall {
-    /// Compute the ball directly (the uncached path). A ball holding the
-    /// source's whole component, uncut, is the full tables, and reads as
-    /// such.
+    /// Compute the ball directly (the uncached path).
     pub fn compute(graph: &IslGraph, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> Self {
-        Self::walk(graph, src, radius, cut).0
-    }
-
-    /// [`Self::compute`], plus the km at which the cut stopped the walk
-    /// (`f64::INFINITY` when it never fired).
-    fn walk(graph: &IslGraph, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> (Self, f64) {
-        let (members, whole, cut_km) = ball_members(graph, src, radius, cut);
-        let ball = if whole && cut_km.is_infinite() {
-            Self::full(Arc::new(SourceTables::from_members(graph.len(), &members)))
-        } else {
-            RoutingBall {
-                radius,
-                backing: Backing::Members(Arc::new(members)),
-            }
-        };
-        (ball, cut_km)
-    }
-
-    /// The full tables, read as a ball that covers every reachable
-    /// satellite.
-    pub fn full(tables: Arc<SourceTables>) -> Self {
         RoutingBall {
-            radius: u32::MAX,
-            backing: Backing::Full(tables),
+            radius,
+            members: Arc::new(ball_members(graph, src, radius, cut).0),
         }
     }
 
-    /// The member for `sat` (its full-table entries), or `None` outside
-    /// the ball. A member-backed ball finds it by binary search.
+    /// The member for `sat` (its full-table entries), found by binary
+    /// search, or `None` outside the ball.
     fn member(&self, sat: SatIndex) -> Option<BallMember> {
-        let m = match &self.backing {
-            Backing::Full(t) => Self::dense(t, sat)?,
-            Backing::Members(ms) => ms[ms.binary_search_by_key(&sat, |m| m.sat).ok()?],
-        };
+        let ms = &self.members;
+        let m = ms[ms.binary_search_by_key(&sat, |m| m.sat).ok()?];
         (m.hops <= self.radius).then_some(m)
     }
 
     /// BFS hop level of `sat`, as [`SourceTables::hops`] holds it, or
-    /// `u32::MAX` outside the ball. One binary search on a member-backed
-    /// ball: a caller reading many satellites reads them with
-    /// [`Self::lookup_sorted`].
+    /// `u32::MAX` outside the ball. One binary search: a caller reading
+    /// many satellites reads them with [`Self::lookup_sorted`].
     pub fn hops(&self, sat: SatIndex) -> u32 {
         self.member(sat).map_or(u32::MAX, |m| m.hops)
     }
@@ -183,81 +128,41 @@ impl RoutingBall {
 
     /// Call `f` on every member, in ascending satellite order.
     pub fn for_each_member(&self, mut f: impl FnMut(BallMember)) {
-        match &self.backing {
-            Backing::Full(t) => {
-                for sat in (0..t.hops.len() as u32).map(SatIndex) {
-                    if let Some(m) = Self::dense(t, sat).filter(|m| m.hops <= self.radius) {
-                        f(m);
-                    }
-                }
-            }
-            Backing::Members(ms) => {
-                for &m in ms.iter().filter(|m| m.hops <= self.radius) {
-                    f(m);
-                }
-            }
+        for &m in self.members.iter().filter(|m| m.hops <= self.radius) {
+            f(m);
         }
     }
 
     /// Call `f` on the member of each of `sats` that lies in the ball, in
-    /// the order given. `sats` must be ascending: a member-backed ball
-    /// reads them in one merge pass over its members, not one search per
-    /// satellite.
+    /// the order given. `sats` must be ascending: they are read in one
+    /// merge pass over the members, not one search per satellite.
     pub fn lookup_sorted(
         &self,
         sats: impl IntoIterator<Item = SatIndex>,
         mut f: impl FnMut(BallMember),
     ) {
-        match &self.backing {
-            Backing::Full(t) => {
-                for sat in sats {
-                    if let Some(m) = Self::dense(t, sat).filter(|m| m.hops <= self.radius) {
-                        f(m);
-                    }
-                }
+        let mut rest = self.members.iter();
+        let mut next = rest.next();
+        for sat in sats {
+            while next.is_some_and(|m| m.sat < sat) {
+                next = rest.next();
             }
-            Backing::Members(ms) => {
-                let mut rest = ms.iter();
-                let mut next = rest.next();
-                for sat in sats {
-                    while next.is_some_and(|m| m.sat < sat) {
-                        next = rest.next();
-                    }
-                    match next {
-                        None => return,
-                        Some(&m) if m.sat == sat && m.hops <= self.radius => f(m),
-                        Some(_) => {}
-                    }
-                }
+            match next {
+                None => return,
+                Some(&m) if m.sat == sat && m.hops <= self.radius => f(m),
+                Some(_) => {}
             }
         }
     }
 
-    /// The full tables' entries for `sat`, or `None` when the source
-    /// cannot reach it.
-    #[inline]
-    fn dense(t: &SourceTables, sat: SatIndex) -> Option<BallMember> {
-        let hops = t.hops[sat.as_usize()];
-        let (km, route_hops) = t.km[sat.as_usize()];
-        (hops != u32::MAX && km.is_finite()).then_some(BallMember {
-            sat,
-            hops,
-            km,
-            route_hops,
-        })
-    }
-
-    /// True when both balls read the same memoized tables or members.
+    /// True when both balls read the same memoized members.
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        match (&a.backing, &b.backing) {
-            (Backing::Full(x), Backing::Full(y)) => Arc::ptr_eq(x, y),
-            (Backing::Members(x), Backing::Members(y)) => Arc::ptr_eq(x, y),
-            _ => false,
-        }
+        Arc::ptr_eq(&a.members, &b.members)
     }
 }
 
-/// A memoized ball: the radius and the km its walk stopped at
+/// A memoized ball: the radius it answers (`u32::MAX` when it holds its
+/// source's whole component) and the km its walk stopped at
 /// (`f64::INFINITY` when no cut fired), with its members.
 struct BallEntry {
     radius: u32,
@@ -281,22 +186,10 @@ impl BallEntry {
     }
 }
 
-/// Per-snapshot memo of [`SourceTables`] and [`RoutingBall`]s keyed by
-/// source satellite.
+/// Per-snapshot memo of [`RoutingBall`]s, one per source satellite.
 #[derive(Default)]
 pub struct RoutingCache {
-    tables: RwLock<HashMap<u32, Arc<SourceTables>>>,
-    /// One ball per source.
     balls: RwLock<HashMap<u32, BallEntry>>,
-    /// Hop tables inherited from the previous epoch's cache by
-    /// [`IslGraph::apply_delta`] when the step changed edge *lengths* but
-    /// not the adjacency structure. BFS levels depend only on structure,
-    /// so a miss with a seed recomputes just the Dijkstra half and clones
-    /// the seed's hop levels — bit-identical to a fresh BFS by definition.
-    hop_seeds: HashMap<u32, Arc<SourceTables>>,
-    /// Pairwise hop queries answered from the *destination*'s table (the
-    /// +Grid is undirected, so BFS levels read the same both ways).
-    reverse_hits: AtomicU64,
 }
 
 impl RoutingCache {
@@ -305,75 +198,17 @@ impl RoutingCache {
         Self::default()
     }
 
-    /// Cache seeded by delta advancement: `tables` are entries carried or
-    /// repaired whole (both halves exact for the new snapshot), `hop_seeds`
-    /// are entries whose *hop* half alone is still exact (see
-    /// [`Self::hop_seeds`]).
-    pub(crate) fn carried(
-        tables: HashMap<u32, Arc<SourceTables>>,
-        hop_seeds: HashMap<u32, Arc<SourceTables>>,
-    ) -> Self {
-        RoutingCache {
-            tables: RwLock::new(tables),
-            hop_seeds,
-            ..Self::default()
-        }
-    }
-
-    /// The memoized tables, for carrying into a successor cache.
-    pub(crate) fn tables_snapshot(&self) -> HashMap<u32, Arc<SourceTables>> {
-        self.tables.read().expect("cache lock poisoned").clone()
-    }
-
-    /// Every table whose *hop* half is valid for any snapshot with this
-    /// cache's adjacency structure: memoized tables plus still-unconsumed
-    /// seeds (so a chain of structure-preserving steps keeps carrying hop
-    /// tables even across epochs where nothing was queried).
-    pub(crate) fn hop_seed_snapshot(&self) -> HashMap<u32, Arc<SourceTables>> {
-        let mut seeds = self.hop_seeds.clone();
-        for (src, t) in self.tables.read().expect("cache lock poisoned").iter() {
-            seeds.insert(*src, Arc::clone(t));
-        }
-        seeds
-    }
-
-    /// The tables for `src`, computing and memoizing them on first use.
-    ///
-    /// Two tasks racing on an uncached source may both compute the tables;
-    /// the first insert wins and the duplicate is dropped. The result is a
-    /// pure function of the graph, so either copy is identical — the race
-    /// costs duplicated work once, never divergent answers.
-    pub fn tables_for(&self, graph: &IslGraph, src: SatIndex) -> Arc<SourceTables> {
-        if let Some(hit) = self.tables.read().expect("cache lock poisoned").get(&src.0) {
-            CACHE_HIT.incr();
-            return Arc::clone(hit);
-        }
-        CACHE_MISS.incr();
-        self.memoize(src, Arc::new(self.compute_with_seed(graph, src)))
-    }
-
-    /// Insert full tables for `src` unless a racing task got there first;
-    /// either copy is identical.
-    fn memoize(&self, src: SatIndex, tables: Arc<SourceTables>) -> Arc<SourceTables> {
-        let mut writer = self.tables.write().expect("cache lock poisoned");
-        Arc::clone(writer.entry(src.0).or_insert(tables))
-    }
-
     /// The [`RoutingBall`] of `radius` around `src`, cut by `cut` if
-    /// given, served from the full tables or a cached ball that answers
-    /// the query (see the module docs), and otherwise computed and
-    /// memoized — replacing the cached ball unless that one answers every
-    /// query the new one does, so each source keeps one ball entry.
-    /// Every backing reads identically within the entries the query
-    /// needs; where a cut query reads more exact entries than its own walk
-    /// would settle, those are exact too.
+    /// given, served from the cached ball when that one answers the query
+    /// (see the module docs), and otherwise computed and memoized —
+    /// replacing the cached ball unless that one answers every query the
+    /// new one does, so each source keeps one entry. Where a query reads
+    /// more exact entries than its own walk would settle, those are exact
+    /// too.
     ///
-    /// A ball that holds the source's whole component (every satellite of
-    /// a small shell) and that the cut never stopped *is* the full
-    /// tables, so it is memoized as them: it then carries across delta
-    /// steps and seeds the next snapshot's hop tables like any full
-    /// table. A carried hop seed shows that case up front, and then only
-    /// the Dijkstra half is computed.
+    /// Two tasks racing on an uncached source may both walk; the balls
+    /// are pure functions of the graph, so either copy reads identically
+    /// — the race costs duplicated work once, never divergent answers.
     pub fn ball_for(
         &self,
         graph: &IslGraph,
@@ -381,33 +216,21 @@ impl RoutingCache {
         radius: u32,
         cut: Option<FallbackCut>,
     ) -> RoutingBall {
-        let view = |backing| RoutingBall { radius, backing };
-        if let Some(full) = self.tables.read().expect("cache lock poisoned").get(&src.0) {
-            CACHE_HIT.incr();
-            return view(Backing::Full(Arc::clone(full)));
-        }
+        let view = |members| RoutingBall { radius, members };
         if let Some(ball) = self.balls.read().expect("cache lock poisoned").get(&src.0) {
             if ball.answers(radius, cut) {
                 CACHE_HIT.incr();
-                return view(Backing::Members(Arc::clone(&ball.members)));
+                return view(Arc::clone(&ball.members));
             }
         }
         CACHE_MISS.incr();
-        if let Some(seed) = self.hop_seeds.get(&src.0) {
-            if seed.hops.iter().all(|&h| h <= radius || h == u32::MAX) {
-                let full = self.memoize(src, Arc::new(self.compute_with_seed(graph, src)));
-                return view(Backing::Full(full));
-            }
-        }
-        let (ball, cut_km) = RoutingBall::walk(graph, src, radius, cut);
-        let members = match ball.backing {
-            Backing::Full(full) => return view(Backing::Full(self.memoize(src, full))),
-            Backing::Members(members) => members,
-        };
+        let (members, whole, cut_km) = ball_members(graph, src, radius, cut);
         let computed = BallEntry {
-            radius,
+            // A ball holding its source's whole component holds every
+            // satellite any wider walk would reach.
+            radius: if whole { u32::MAX } else { radius },
             cut_km,
-            members,
+            members: Arc::new(members),
         };
         let mut writer = self.balls.write().expect("cache lock poisoned");
         let entry = match writer.entry(src.0) {
@@ -419,65 +242,15 @@ impl RoutingCache {
             }
             Entry::Vacant(slot) => slot.insert(computed),
         };
-        view(Backing::Members(Arc::clone(&entry.members)))
-    }
-
-    /// [`SourceTables::compute`], except the BFS half is cloned from a
-    /// carried hop seed when one exists (see [`Self::hop_seeds`]).
-    fn compute_with_seed(&self, graph: &IslGraph, src: SatIndex) -> SourceTables {
-        match self.hop_seeds.get(&src.0) {
-            Some(seed) => {
-                CACHE_HOP_SEED.incr();
-                SourceTables {
-                    km: dijkstra_distances(graph, src),
-                    hops: seed.hops.clone(),
-                }
-            }
-            None => SourceTables::compute(graph, src),
-        }
-    }
-
-    /// Minimum hop count between `from` and `to`, exploiting
-    /// undirectedness: BFS hop levels are integers and exactly symmetric on
-    /// an undirected graph, so a table memoized for *either* endpoint
-    /// answers the query — tables for `s` also serve queries *to* `s`, and
-    /// pairwise sweeps stop computing both directions. Only when neither
-    /// endpoint has a table yet is one computed (and memoized, for `from`).
-    ///
-    /// Kilometre tables get no such reverse path: a float path sum
-    /// accumulated in the opposite edge order can differ in the final bits,
-    /// and campaign output must stay byte-identical.
-    pub fn hops_between(&self, graph: &IslGraph, from: SatIndex, to: SatIndex) -> u32 {
-        {
-            let reader = self.tables.read().expect("cache lock poisoned");
-            if let Some(t) = reader.get(&from.0) {
-                CACHE_HIT.incr();
-                return t.hops[to.as_usize()];
-            }
-            if let Some(t) = reader.get(&to.0) {
-                self.reverse_hits.fetch_add(1, Ordering::Relaxed);
-                CACHE_REVERSE_HIT.incr();
-                return t.hops[from.as_usize()];
-            }
-        }
-        self.tables_for(graph, from).hops[to.as_usize()]
-    }
-
-    /// How many pairwise hop queries were served from the reverse table.
-    pub fn reverse_hits(&self) -> u64 {
-        self.reverse_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of source satellites with memoized tables.
-    pub fn cached_sources(&self) -> usize {
-        self.tables.read().expect("cache lock poisoned").len()
+        view(Arc::clone(&entry.members))
     }
 }
 
 impl fmt::Debug for RoutingCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sources = self.balls.read().expect("cache lock poisoned").len();
         f.debug_struct("RoutingCache")
-            .field("cached_sources", &self.cached_sources())
+            .field("sources", &sources)
             .finish()
     }
 }
@@ -521,7 +294,7 @@ pub fn routing_cache_enabled() -> bool {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use spacecdn_geo::SimTime;
+    use spacecdn_geo::{Latency, SimTime};
     use spacecdn_orbit::shell::shells;
     use spacecdn_orbit::Constellation;
 
@@ -530,33 +303,54 @@ mod tests {
         IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none())
     }
 
+    fn small_graph() -> IslGraph {
+        let c = Constellation::new(shells::test_shell());
+        IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none())
+    }
+
+    /// Assert `ball` reads `full`'s entries for every satellite.
+    fn assert_reads_full(ball: &RoutingBall, full: &SourceTables) {
+        for i in 0..full.hops.len() {
+            let s = SatIndex(i as u32);
+            assert_eq!(ball.hops(s), full.hops[i], "hops at {i}");
+            assert_eq!(ball.km(s), full.km[i], "km at {i}");
+        }
+    }
+
+    fn entries(cache: &RoutingCache) -> usize {
+        cache.balls.read().unwrap().len()
+    }
+
     #[test]
     fn cached_tables_match_direct_computation() {
         let g = graph();
         let cache = RoutingCache::new();
         let src = SatIndex(123);
-        let cached = cache.tables_for(&g, src);
-        let direct = SourceTables::compute(&g, src);
-        assert_eq!(*cached, direct);
+        // A whole-shell ball stays member-backed: one member per
+        // satellite, reading exactly the full tables.
+        let whole = cache.ball_for(&g, src, u32::MAX, None);
+        assert_eq!(whole.members.len(), g.len());
+        assert_reads_full(&whole, &SourceTables::compute(&g, src));
+        assert_eq!(cache.balls.read().unwrap()[&src.0].radius, u32::MAX);
     }
 
     #[test]
     fn second_lookup_shares_the_allocation() {
         let g = graph();
         let cache = RoutingCache::new();
-        let a = cache.tables_for(&g, SatIndex(7));
-        let b = cache.tables_for(&g, SatIndex(7));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.cached_sources(), 1);
+        let a = cache.ball_for(&g, SatIndex(7), 10, None);
+        let b = cache.ball_for(&g, SatIndex(7), 10, None);
+        assert!(RoutingBall::ptr_eq(&a, &b));
+        assert_eq!(entries(&cache), 1);
     }
 
     #[test]
     fn distinct_sources_get_distinct_entries() {
         let g = graph();
         let cache = RoutingCache::new();
-        cache.tables_for(&g, SatIndex(1));
-        cache.tables_for(&g, SatIndex(2));
-        assert_eq!(cache.cached_sources(), 2);
+        cache.ball_for(&g, SatIndex(1), 10, None);
+        cache.ball_for(&g, SatIndex(2), 10, None);
+        assert_eq!(entries(&cache), 2);
     }
 
     #[test]
@@ -569,22 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn hops_between_serves_reverse_queries_from_one_table() {
-        let g = graph();
-        let cache = RoutingCache::new();
-        let (a, b) = (SatIndex(10), SatIndex(900));
-        let forward = cache.hops_between(&g, a, b);
-        assert_eq!(cache.cached_sources(), 1);
-        assert_eq!(cache.reverse_hits(), 0);
-        // The opposite direction reads a's table backwards: no new entry.
-        let reverse = cache.hops_between(&g, b, a);
-        assert_eq!(forward, reverse);
-        assert_eq!(cache.cached_sources(), 1);
-        assert_eq!(cache.reverse_hits(), 1);
-        assert_eq!(forward, hop_distances(&g, a)[b.as_usize()]);
-    }
-
-    #[test]
     fn hops_between_symmetric_on_faulted_graph() {
         let c = Constellation::new(shells::starlink_shell1());
         let mut faults = FaultPlan::none();
@@ -592,10 +370,15 @@ mod tests {
             faults.fail_sat(SatIndex(s));
         }
         let g = IslGraph::build(&c, SimTime::from_secs(311), &faults);
+        let cache = RoutingCache::new();
         for (a, b) in [(0u32, 1583u32), (5, 710), (89, 92), (700, 701)] {
-            let fwd = RoutingCache::new().hops_between(&g, SatIndex(a), SatIndex(b));
-            let rev = RoutingCache::new().hops_between(&g, SatIndex(b), SatIndex(a));
-            assert_eq!(fwd, rev, "hop distance {a}<->{b} asymmetric");
+            let (a, b) = (SatIndex(a), SatIndex(b));
+            let fwd = hop_distances(&g, a)[b.as_usize()];
+            let rev = hop_distances(&g, b)[a.as_usize()];
+            assert_eq!(fwd, rev, "hop distance {a:?}<->{b:?} asymmetric");
+            // Cached whole-shell balls read the same levels both ways.
+            assert_eq!(cache.ball_for(&g, a, u32::MAX, None).hops(b), fwd);
+            assert_eq!(cache.ball_for(&g, b, u32::MAX, None).hops(a), fwd);
         }
     }
 
@@ -612,33 +395,27 @@ mod tests {
         let ten = cache.ball_for(&g, src, 10, None);
         assert!(!RoutingBall::ptr_eq(&five, &ten));
         assert!(RoutingBall::ptr_eq(&ten, &cache.ball_for(&g, src, 5, None)));
-        assert_eq!(cache.balls.read().unwrap().len(), 1);
-        // A cached full table answers any radius.
-        let full = cache.tables_for(&g, src);
+        assert_eq!(entries(&cache), 1);
         let twelve = cache.ball_for(&g, src, 12, None);
-        assert!(RoutingBall::ptr_eq(&twelve, &RoutingBall::full(full)));
         let direct = RoutingBall::compute(&g, src, 12, None);
         for i in 0..g.len() as u32 {
             assert_eq!(twelve.hops(SatIndex(i)), direct.hops(SatIndex(i)));
             assert_eq!(twelve.km(SatIndex(i)), direct.km(SatIndex(i)));
         }
-        // A ball holding the whole 64-satellite test shell is its full
-        // tables, memoized as such.
-        let small = Constellation::new(shells::test_shell());
-        let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
+        // A ball holding the whole 64-satellite test shell stays
+        // member-backed and answers any radius, reading the full tables.
+        let small = small_graph();
         let cache = RoutingCache::new();
-        cache.ball_for(&small, SatIndex(7), 10, None);
-        assert_eq!(cache.cached_sources(), 1);
-        assert!(cache.balls.read().unwrap().is_empty());
-        assert_eq!(
-            *cache.tables_for(&small, SatIndex(7)),
-            SourceTables::compute(&small, SatIndex(7))
-        );
+        let whole = cache.ball_for(&small, SatIndex(7), 10, None);
+        assert_eq!(whole.members.len(), small.len());
+        let any = cache.ball_for(&small, SatIndex(7), u32::MAX, None);
+        assert!(RoutingBall::ptr_eq(&whole, &any));
+        assert_reads_full(&any, &SourceTables::compute(&small, SatIndex(7)));
+        assert_eq!(entries(&cache), 1);
     }
 
     #[test]
     fn cut_balls_never_answer_uncut_queries() {
-        use spacecdn_geo::Latency;
         let g = graph();
         let src = SatIndex(700);
         let full = SourceTables::compute(&g, src);
@@ -691,10 +468,9 @@ mod tests {
             &uncut,
             &cache.ball_for(&g, src, 10, Some(cut))
         ));
-        assert_eq!(*cache.tables_for(&g, src), full);
 
         // The same through the graph's own cache: a cut lookup first,
-        // then the ball and full-table lookups stay unbounded.
+        // then the ball lookups stay unbounded.
         let bounded = g.routing_tables_cut(src, 10, cut);
         assert!((0..g.len() as u32)
             .any(|i| { full.hops[i as usize] <= 10 && bounded.hops(SatIndex(i)) == u32::MAX }));
@@ -703,9 +479,9 @@ mod tests {
             let i = SatIndex(i);
             within.hops(i) == direct.hops(i) && within.km(i) == direct.km(i)
         }));
-        assert_eq!(*g.routing_tables(src), full);
-        // A wider or looser query recomputes; a cut that never fires keeps
-        // a whole-shell ball as the full tables.
+        assert_reads_full(&g.routing_tables_within(src, u32::MAX), &full);
+        // A wider or looser query recomputes; a cut that never fires
+        // leaves a whole-shell ball that answers uncut queries too.
         let looser = FallbackCut {
             fallback: Latency::from_ms(60.0),
             ..cut
@@ -716,31 +492,38 @@ mod tests {
             &narrow,
             &cache.ball_for(&g, src, 10, Some(looser))
         ));
-        let small = Constellation::new(shells::test_shell());
-        let small = IslGraph::build(&small, SimTime::EPOCH, &FaultPlan::none());
+        let small = small_graph();
         let never = FallbackCut {
             user_prop: Latency::from_ms(4.0),
             fallback: Latency::from_ms(200.0),
         };
         let cache = RoutingCache::new();
-        cache.ball_for(&small, SatIndex(7), 10, Some(never));
-        assert_eq!(cache.cached_sources(), 1);
-        assert!(cache.balls.read().unwrap().is_empty());
+        let whole = cache.ball_for(&small, SatIndex(7), 10, Some(never));
+        assert_eq!(whole.members.len(), small.len());
+        assert!(RoutingBall::ptr_eq(
+            &whole,
+            &cache.ball_for(&small, SatIndex(7), u32::MAX, None)
+        ));
     }
 
     #[test]
     fn concurrent_lookups_agree() {
         let g = graph();
         let cache = RoutingCache::new();
+        let members = |ball: RoutingBall| {
+            let mut out = Vec::new();
+            ball.for_each_member(|m| out.push(m));
+            out
+        };
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| cache.tables_for(&g, SatIndex(55))))
+                .map(|_| s.spawn(|| members(cache.ball_for(&g, SatIndex(55), 10, None))))
                 .collect();
-            let tables: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for t in &tables[1..] {
-                assert_eq!(**t, *tables[0]);
+            let balls: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            for b in &balls[1..] {
+                assert_eq!(*b, balls[0]);
             }
         });
-        assert_eq!(cache.cached_sources(), 1);
+        assert_eq!(entries(&cache), 1);
     }
 }

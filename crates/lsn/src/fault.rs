@@ -215,14 +215,6 @@ impl FaultPlanDelta {
             || !self.failed_links.is_empty()
             || !self.healed_links.is_empty()
     }
-
-    /// True when the structural part is pure removal: edges only disappear
-    /// (new sat/link kills), never reappear. Pure-removal deltas admit
-    /// sparse shortest-path repair; anything that adds edges forces a full
-    /// per-source recompute.
-    pub fn is_pure_removal(&self) -> bool {
-        self.healed_sats.is_empty() && self.healed_links.is_empty()
-    }
 }
 
 /// One event on a fault timeline. All events are *additive*: lowering a

@@ -43,8 +43,8 @@ pub use load::LinkLoad;
 pub use path::{spacecdn_fetch_rtt, starlink_rtt_to_pop, StarlinkPath};
 pub use routing::{
     ball_members, bfs_nearest, dijkstra, dijkstra_distances, dijkstra_distances_into,
-    dijkstra_walk, hop_distances, hop_distances_into, hop_distances_many, repair_dijkstra_table,
-    BallMember, FallbackCut, IslPath, RepairOutcome,
+    dijkstra_walk, hop_distances, hop_distances_into, hop_distances_many, BallMember, FallbackCut,
+    IslPath,
 };
 pub use spatial::SpatialIndex;
 pub use topology::{IslEdge, IslGraph, Neighbors, PatchStats};

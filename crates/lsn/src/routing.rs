@@ -659,150 +659,6 @@ pub fn hop_distances_many(graph: &IslGraph, sources: &[SatIndex]) -> Vec<Vec<u32
     })
 }
 
-/// Result of a successful [`repair_dijkstra_table`] call.
-#[derive(Debug, Clone)]
-pub struct RepairOutcome {
-    /// The repaired `(km, hop-count)` table, bit-identical to a fresh
-    /// [`dijkstra_distances`] run over the new graph.
-    pub table: Vec<(f64, u32)>,
-    /// How many vertices were re-relaxed (the dirty-region size).
-    pub repaired: usize,
-}
-
-/// Sparse repair of a single-source `(km, hop-count)` table after a
-/// *pure-removal* structural delta (edges only disappeared, none appeared,
-/// and edge lengths are unchanged — i.e. a same-epoch fault step).
-///
-/// `removed_edges` lists every removed *directed* edge as
-/// `(from, to, old_length_km)`. `old` is the table computed over
-/// `old_graph`; `max_dirty` caps the affected region — when the dirty set
-/// grows past it the repair declines (`None`) and the caller falls back to
-/// a full recompute.
-///
-/// Bit-identity argument: a fresh Dijkstra's final entry for `v` is the
-/// value-determined recurrence `out[v] = out[u*] + len(u*, v)` (that exact
-/// float add), where `u*` is the minimum-`(dist, index)` member of
-/// `argmin_u(out[u] + len)` — pop order plus strict-`<`
-/// first-improvement-wins makes the earliest-popping tie parent the
-/// writer. Removals never create shorter paths, so a vertex whose old
-/// optimal (and tie-optimal) parents all survive keeps bit-identical
-/// values. The dirty flood below marks the complement conservatively:
-/// heads of removed edges that satisfied the recurrence *with float
-/// equality*, then every vertex equality-parented through a dirty one
-/// (supersets are safe — re-relaxing an unaffected vertex reproduces its
-/// bits). Re-running Dijkstra seeded with every clean in-neighbour of the
-/// dirty region replays exactly the relaxations the fresh run performs
-/// into and inside that region, in the same `(dist, index)` pop order, so
-/// every repaired entry — mantissas and hop counts — matches the fresh
-/// run's. The timeline oracle and `properties.rs` proptests enforce this
-/// end to end.
-pub fn repair_dijkstra_table(
-    old_graph: &IslGraph,
-    new_graph: &IslGraph,
-    src: SatIndex,
-    removed_edges: &[(u32, u32, f64)],
-    old: &[(f64, u32)],
-    max_dirty: usize,
-) -> Option<RepairOutcome> {
-    let n = new_graph.len();
-    debug_assert_eq!(old.len(), n);
-    if !new_graph.is_alive(src) {
-        // A dead source's fresh table is all-unreachable, including the
-        // source slot itself (the kernel returns before seeding it).
-        return Some(RepairOutcome {
-            table: vec![(f64::INFINITY, u32::MAX); n],
-            repaired: n,
-        });
-    }
-
-    // Phase 1: flood the potentially-affected region over the *old* graph.
-    let mut dirty = vec![false; n];
-    let mut dirty_list: Vec<u32> = Vec::new();
-    let push_dirty = |v: u32, dirty: &mut Vec<bool>, list: &mut Vec<u32>| {
-        if !dirty[v as usize] && old[v as usize].0.is_finite() {
-            dirty[v as usize] = true;
-            list.push(v);
-        }
-    };
-    for &(u, v, len) in removed_edges {
-        if old[u as usize].0 + len == old[v as usize].0 {
-            push_dirty(v, &mut dirty, &mut dirty_list);
-        }
-    }
-    let (old_offsets, old_nbrs, old_lens) = old_graph.csr();
-    let mut head = 0;
-    while head < dirty_list.len() {
-        if dirty_list.len() > max_dirty {
-            return None;
-        }
-        let v = dirty_list[head] as usize;
-        head += 1;
-        let (lo, hi) = (old_offsets[v] as usize, old_offsets[v + 1] as usize);
-        for (&w, &len) in old_nbrs[lo..hi].iter().zip(&old_lens[lo..hi]) {
-            if old[v].0 + len == old[w as usize].0 {
-                push_dirty(w, &mut dirty, &mut dirty_list);
-            }
-        }
-    }
-    if dirty_list.len() > max_dirty {
-        return None;
-    }
-    if dirty_list.is_empty() {
-        return Some(RepairOutcome {
-            table: old.to_vec(),
-            repaired: 0,
-        });
-    }
-
-    // Phase 2: re-relax the dirty region over the *new* graph, seeded with
-    // its clean boundary at their (final, hence fresh) distances.
-    let mut out = old.to_vec();
-    for &v in &dirty_list {
-        out[v as usize] = (f64::INFINITY, u32::MAX);
-    }
-    let mut heap = MinHeap::new();
-    let (offsets, nbrs, lens) = new_graph.csr();
-    let mut seeded = vec![false; n];
-    for &v in &dirty_list {
-        let v = v as usize;
-        let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-        for &u in &nbrs[lo..hi] {
-            let ui = u as usize;
-            if !dirty[ui] && !seeded[ui] && out[ui].0.is_finite() {
-                seeded[ui] = true;
-                heap.push(HeapItem::new(out[ui].0, u));
-            }
-        }
-    }
-    if dirty[src.as_usize()] {
-        // Defensive: the source's zero distance can never satisfy the
-        // equality flood, but re-seed it exactly as the kernel would.
-        out[src.as_usize()] = (0.0, 0);
-        heap.push(HeapItem::new(0.0, src.0));
-    }
-    while let Some(item) = heap.pop() {
-        let cost = item.cost();
-        let sat = item.sat() as usize;
-        if cost > out[sat].0 {
-            continue;
-        }
-        let hops = out[sat].1;
-        let (lo, hi) = (offsets[sat] as usize, offsets[sat + 1] as usize);
-        for (&to, &len) in nbrs[lo..hi].iter().zip(&lens[lo..hi]) {
-            let next = cost + len;
-            let slot = &mut out[to as usize];
-            if next < slot.0 {
-                *slot = (next, hops + 1);
-                heap.push(HeapItem::new(next, to));
-            }
-        }
-    }
-    Some(RepairOutcome {
-        table: out,
-        repaired: dirty_list.len(),
-    })
-}
-
 /// BFS from `src` for the nearest satellite (in hops) satisfying
 /// `is_target`, limited to `max_hops`. Returns the full path. Ties at equal
 /// hop count resolve to the first target discovered in deterministic BFS

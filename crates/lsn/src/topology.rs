@@ -17,15 +17,14 @@
 //! chasing; the [`IslEdge`] view survives as a cheap iterator
 //! ([`Neighbors`]) so call sites keep their old shape.
 
-use crate::cache::{routing_cache_enabled, RoutingBall, RoutingCache, SourceTables};
+use crate::cache::{routing_cache_enabled, RoutingBall, RoutingCache};
 use crate::fault::FaultPlan;
-use crate::routing::{hop_distances, repair_dijkstra_table, FallbackCut};
+use crate::routing::FallbackCut;
 use crate::spatial::SpatialIndex;
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{Ecef, Geodetic, Km, Latency, SimTime};
 use spacecdn_orbit::{Constellation, SatIndex};
 use spacecdn_telemetry::{LazyCounter, LazyHistogram, Unit};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Snapshot construction counters. Racy: the engine's snapshot pool
@@ -37,12 +36,6 @@ static GRAPH_BUILD_NS: LazyHistogram = LazyHistogram::racy("lsn.graph.build_ns",
 /// decides scheduling-dependently whether a patch happens at all).
 static GRAPH_PATCHES: LazyCounter = LazyCounter::racy("lsn.graph.patches");
 static GRAPH_PATCH_NS: LazyHistogram = LazyHistogram::racy("lsn.graph.patch_ns", Unit::Nanos);
-
-/// Fraction of the vertex count the sparse table-repair dirty region may
-/// reach before [`IslGraph::apply_delta`] abandons repair for that source
-/// and falls back to a full recompute. Past this point the seeded re-run
-/// saves too little over a fresh Dijkstra to pay for the flood.
-const REPAIR_DIRTY_FRACTION: f64 = 0.25;
 
 /// One directed adjacency entry: a neighbour and the link length.
 ///
@@ -117,7 +110,7 @@ impl ExactSizeIterator for Neighbors<'_> {}
 /// A frozen ISL connectivity graph at one instant.
 ///
 /// Carries two epoch-scoped acceleration structures that share its
-/// lifetime: a [`RoutingCache`] memoizing single-source routing tables
+/// lifetime: a [`RoutingCache`] memoizing per-source routing balls
 /// (shared across clones — the cache is a pure function of the frozen
 /// topology, so clones may as well pool their work) and a
 /// [`SpatialIndex`] over alive satellites for nearest-satellite queries.
@@ -161,13 +154,6 @@ pub struct PatchStats {
     pub patched_edges: u64,
     /// CSR rows copied verbatim from the previous snapshot.
     pub carried_rows: u64,
-    /// Dijkstra-table entries re-relaxed by sparse repair across all
-    /// repaired cached sources.
-    pub repaired_vertices: u64,
-    /// Cached sources whose tables could not be repaired (dirty region
-    /// over threshold, edge additions, or an offset flip) and were dropped
-    /// for full on-demand recomputation.
-    pub full_fallbacks: u64,
     /// Did the step change adjacency structure at all?
     pub structural: bool,
     /// Did the spatial index hit its drift threshold and rebuild?
@@ -338,14 +324,13 @@ impl IslGraph {
     /// the shared `Arc`s when the structure is untouched), positions are
     /// refreshed with the hoisted-but-bit-identical
     /// [`Constellation::snapshot_ecef_into`], the spatial index is advanced
-    /// with conservatively inflated bounds, and the routing cache carries,
-    /// repairs, or drops the previous epoch's tables depending on what the
-    /// step invalidated.
+    /// with conservatively inflated bounds, and the new snapshot starts
+    /// with an empty routing cache, as a fresh build does.
     ///
     /// `constellation` must be the one this snapshot was built from. The
     /// result is **bit-identical** to `IslGraph::build(constellation, t,
     /// faults)` in every observable: positions, CSR adjacency order, length
-    /// mantissas, masks, routing tables and nearest-satellite answers —
+    /// mantissas, masks, routing balls and nearest-satellite answers —
     /// the timeline oracle and the `properties.rs` proptests enforce this.
     /// Only throughput telemetry and spatial pruning counters may differ.
     pub fn apply_delta(
@@ -519,7 +504,7 @@ impl IslGraph {
                 }
             };
 
-        let mut graph = IslGraph {
+        let graph = IslGraph {
             time: t,
             positions,
             offsets,
@@ -533,86 +518,7 @@ impl IslGraph {
             cache: Arc::new(RoutingCache::new()),
             spatial,
         };
-
-        // Routing cache succession: what survives depends on what moved.
-        if routing_cache_enabled() {
-            if !structural {
-                graph.cache = Arc::new(if same_time {
-                    // Same adjacency *and* lengths: every table is still
-                    // exact, carry them all (plus unconsumed hop seeds).
-                    RoutingCache::carried(
-                        self.cache.tables_snapshot(),
-                        self.cache.hop_seed_snapshot(),
-                    )
-                } else {
-                    // Lengths moved, structure didn't: the BFS halves stay
-                    // exact — seed them so misses skip the BFS re-run.
-                    RoutingCache::carried(HashMap::new(), self.cache.hop_seed_snapshot())
-                });
-            } else if same_time && delta.is_pure_removal() && !offsets_flipped {
-                // Dynamic SSSP: same instant, edges only removed — repair
-                // each warmed source's table sparsely over the dirty
-                // region, falling back past the threshold.
-                let removed_edges = self.removed_directed_edges(&delta);
-                let max_dirty = ((n as f64) * REPAIR_DIRTY_FRACTION) as usize;
-                let mut repaired: HashMap<u32, Arc<SourceTables>> = HashMap::new();
-                for (src, old_tables) in self.cache.tables_snapshot() {
-                    match repair_dijkstra_table(
-                        self,
-                        &graph,
-                        SatIndex(src),
-                        &removed_edges,
-                        &old_tables.km,
-                        max_dirty,
-                    ) {
-                        Some(outcome) => {
-                            stats.repaired_vertices += outcome.repaired as u64;
-                            let hops = hop_distances(&graph, SatIndex(src));
-                            repaired.insert(
-                                src,
-                                Arc::new(SourceTables {
-                                    km: outcome.table,
-                                    hops,
-                                }),
-                            );
-                        }
-                        None => stats.full_fallbacks += 1,
-                    }
-                }
-                graph.cache = Arc::new(RoutingCache::carried(repaired, HashMap::new()));
-            } else {
-                // Structure changed non-monotonically (healings, or an
-                // offset flip): nothing carries; warmed sources recompute
-                // on demand.
-                stats.full_fallbacks += self.cache.cached_sources() as u64;
-            }
-        }
-
         (graph, stats)
-    }
-
-    /// Every directed edge present in this snapshot that a pure-removal
-    /// delta deletes, with its length — the seed set for sparse table
-    /// repair.
-    fn removed_directed_edges(&self, delta: &crate::fault::FaultPlanDelta) -> Vec<(u32, u32, f64)> {
-        let mut removed = Vec::new();
-        for &s in &delta.failed_sats {
-            let (row, lens) = self.neighbor_row(s.0);
-            for (&nb, &len) in row.iter().zip(lens) {
-                // ECEF distance is symmetric in its operands bit-for-bit,
-                // so the reverse edge carries the identical length.
-                removed.push((s.0, nb, len));
-                removed.push((nb, s.0, len));
-            }
-        }
-        for &(a, b) in &delta.failed_links {
-            let (row, lens) = self.neighbor_row(a.0);
-            if let Some(k) = row.iter().position(|&nb| nb == b.0) {
-                removed.push((a.0, b.0, lens[k]));
-                removed.push((b.0, a.0, lens[k]));
-            }
-        }
-        removed
     }
 
     /// Instant this snapshot was taken.
@@ -708,29 +614,14 @@ impl IslGraph {
         best
     }
 
-    /// Memoized single-source routing tables (Dijkstra kilometres/hops and
-    /// BFS hop levels) from `src`. First use per source computes the
-    /// tables; later uses — from any thread or clone of this graph —
-    /// share them. With the cache disabled (see
-    /// [`crate::cache::set_routing_cache_override`]) the tables are
-    /// recomputed per call, which is the pre-cache baseline behaviour.
-    pub fn routing_tables(&self, src: SatIndex) -> Arc<SourceTables> {
-        if routing_cache_enabled() {
-            self.cache.tables_for(self, src)
-        } else {
-            Arc::new(SourceTables::compute(self, src))
-        }
-    }
-
     /// Routing tables from `src` exact out to `radius` BFS hops (see
     /// [`RoutingBall`]): what a caller that only looks within a hop budget
-    /// needs, for a fraction of [`Self::routing_tables`]' cost on a large
-    /// shell. Memoized beside the full tables: a cached full table answers
-    /// any radius, a cached ball any radius up to its own, and a wider
-    /// query replaces the ball. A radius of at least the satellite count
-    /// covers every reachable satellite, so it is served by (and memoized
-    /// as) the full tables, as is any ball that turns out to hold the
-    /// source's whole component.
+    /// needs, for a fraction of a full-table pair's cost on a large shell.
+    /// Memoized per source: the cached ball answers any radius up to its
+    /// own (any radius at all once it holds the source's whole component),
+    /// and a wider query replaces it. With the cache disabled (see
+    /// [`crate::cache::set_routing_cache_override`]) the ball is recomputed
+    /// per call, which is the pre-cache baseline behaviour.
     pub fn routing_tables_within(&self, src: SatIndex, radius: u32) -> RoutingBall {
         self.routing_ball(src, radius, None)
     }
@@ -747,47 +638,11 @@ impl IslGraph {
     }
 
     fn routing_ball(&self, src: SatIndex, radius: u32, cut: Option<FallbackCut>) -> RoutingBall {
-        if radius as usize >= self.len() && cut.is_none() {
-            RoutingBall::full(self.routing_tables(src))
-        } else if routing_cache_enabled() {
+        if routing_cache_enabled() {
             self.cache.ball_for(self, src, radius, cut)
         } else {
             RoutingBall::compute(self, src, radius, cut)
         }
-    }
-
-    /// Minimum ISL hop count between two satellites (`u32::MAX` when
-    /// unreachable).
-    ///
-    /// BFS hop levels on an undirected graph are exactly symmetric, so with
-    /// the cache enabled this is answered from *either* endpoint's memoized
-    /// tables — a table computed for source `s` also serves queries *to*
-    /// `s`, halving the tables needed for pairwise hop queries. (Kilometre
-    /// tables are *not* served in reverse: a float path sum accumulated in
-    /// the opposite edge order may differ in the last bits, and campaign
-    /// outputs must stay byte-identical.)
-    pub fn hop_distance_between(&self, a: SatIndex, b: SatIndex) -> u32 {
-        if routing_cache_enabled() {
-            self.cache.hops_between(self, a, b)
-        } else {
-            crate::routing::hop_distances(self, a)[b.as_usize()]
-        }
-    }
-
-    /// Number of source satellites with memoized routing tables.
-    pub fn cached_sources(&self) -> usize {
-        self.cache.cached_sources()
-    }
-
-    /// How many pairwise hop queries were answered from the *reverse*
-    /// endpoint's table (diagnostic; see [`Self::hop_distance_between`]).
-    pub fn reverse_table_hits(&self) -> u64 {
-        self.cache.reverse_hits()
-    }
-
-    /// The snapshot's spatial index (diagnostic access).
-    pub fn spatial_index(&self) -> &SpatialIndex {
-        &self.spatial
     }
 
     /// Total number of directed edges (diagnostic).
@@ -1004,64 +859,61 @@ mod tests {
         }
     }
 
+    /// Assert `graph`'s cached whole-shell ball from `src` reads exactly
+    /// `want`'s full tables.
+    fn assert_ball_reads(graph: &IslGraph, src: SatIndex, want: &SourceTables) {
+        let ball = graph.routing_tables_within(src, u32::MAX);
+        for i in 0..graph.len() {
+            let sat = SatIndex(i as u32);
+            assert_eq!(ball.hops(sat), want.hops[i], "hops at {i}");
+            let (km, route) = ball.km(sat);
+            assert_eq!(km.to_bits(), want.km[i].0.to_bits(), "km bits at {i}");
+            assert_eq!(route, want.km[i].1, "route hops at {i}");
+        }
+    }
+
     #[test]
-    fn gsl_only_step_carries_warmed_tables() {
+    fn delta_steps_start_an_empty_cache() {
         let c = Constellation::new(shells::starlink_shell1());
         let g0 = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let sources = [SatIndex(0), SatIndex(700)];
-        for &src in &sources {
-            g0.routing_tables(src);
-        }
+        let warmed: Vec<RoutingBall> = sources
+            .iter()
+            .map(|&src| g0.routing_tables_within(src, 10))
+            .collect();
+        // A GSL kill at the same instant touches no ISL edge, and a time
+        // step only moves lengths; neither successor reads the previous
+        // snapshot's balls.
         let mut faults = FaultPlan::none();
         faults.fail_gsl(SatIndex(50));
-        let (g1, stats) = g0.apply_delta(&c, SimTime::EPOCH, &faults);
-        // A GSL kill touches no ISL edge: the warmed tables ride along
-        // untouched and still match a cold compute on the patched graph.
-        assert!(!stats.structural);
-        assert_eq!(g1.cached_sources(), sources.len());
-        assert!(!g1.gsl_alive(SatIndex(50)));
-        for src in sources {
-            let got = g1.routing_tables(src);
-            let want = SourceTables::compute(&g1, src);
-            assert_eq!(got.hops, want.hops);
-            for (a, b) in got.km.iter().zip(&want.km) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits());
-                assert_eq!(a.1, b.1);
+        for t in [SimTime::EPOCH, SimTime::from_secs(5)] {
+            let (g1, stats) = g0.apply_delta(&c, t, &faults);
+            assert!(!stats.structural);
+            assert!(!g1.gsl_alive(SatIndex(50)));
+            for (&src, old) in sources.iter().zip(&warmed) {
+                let ball = g1.routing_tables_within(src, 10);
+                assert!(!RoutingBall::ptr_eq(&ball, old));
+                assert_ball_reads(&g1, src, &SourceTables::compute(&g1, src));
             }
         }
     }
 
     #[test]
-    fn pure_removal_step_repairs_tables_sparsely() {
+    fn pure_removal_step_matches_fresh_build() {
         let c = Constellation::new(shells::starlink_shell1());
         let g0 = IslGraph::build(&c, SimTime::EPOCH, &FaultPlan::none());
         let sources = [SatIndex(3), SatIndex(911)];
         for &src in &sources {
-            g0.routing_tables(src);
+            g0.routing_tables_within(src, u32::MAX);
         }
         let mut faults = FaultPlan::none();
         faults.fail_sat(SatIndex(400));
         let (g1, stats) = g0.apply_delta(&c, SimTime::EPOCH, &faults);
         assert!(stats.structural);
         assert!(stats.patched_edges > 0);
-        assert_eq!(stats.full_fallbacks, 0);
-        assert!(stats.repaired_vertices > 0);
-        // The repair touched only a small region of each table.
-        assert!(
-            (stats.repaired_vertices as usize) < sources.len() * c.len() / 4,
-            "repaired {} vertices",
-            stats.repaired_vertices
-        );
-        assert_eq!(g1.cached_sources(), sources.len());
         let fresh = IslGraph::build(&c, SimTime::EPOCH, &faults);
         for src in sources {
-            let got = g1.routing_tables(src);
-            let want = SourceTables::compute(&fresh, src);
-            assert_eq!(got.hops, want.hops);
-            for (a, b) in got.km.iter().zip(&want.km) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits());
-                assert_eq!(a.1, b.1);
-            }
+            assert_ball_reads(&g1, src, &SourceTables::compute(&fresh, src));
         }
     }
 

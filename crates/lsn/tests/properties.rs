@@ -343,17 +343,16 @@ proptest! {
     }
 
     #[test]
-    fn repaired_tables_match_fresh_compute(
+    fn removal_step_balls_match_fresh_compute(
         shell in arb_phased_shell(),
         t in 0u64..20_000,
         seed in 0u64..1000,
         frac in 0.0f64..0.25,
         kills in 1usize..4,
     ) {
-        // Same-instant pure-removal step over a warmed cache: the sparse
-        // dynamic-SSSP repair (or its threshold fallback) must reproduce a
-        // fresh graph's tables bit-for-bit — km mantissas, route hop
-        // counts and BFS levels.
+        // Same-instant pure-removal step over a warmed cache: the patched
+        // graph's balls must read a fresh graph's full tables bit-for-bit
+        // — km mantissas, route hop counts and BFS levels.
         let c = Constellation::new(shell);
         let p1 = random_faults(&c, seed, frac);
         let mut p2 = p1.clone();
@@ -368,22 +367,15 @@ proptest! {
         let g1 = IslGraph::build(&c, time, &p1);
         let sources: Vec<SatIndex> = (0..c.len() as u32).step_by(3).map(SatIndex).collect();
         for &src in &sources {
-            g1.routing_tables(src);
+            g1.routing_tables_within(src, u32::MAX);
         }
         let (g2, _) = g1.apply_delta(&c, time, &p2);
         let fresh = IslGraph::build(&c, time, &p2);
         assert_graphs_identical(&g2, &fresh);
         for &src in &sources {
-            let got = g2.routing_tables(src);
             let want = SourceTables::compute(&fresh, src);
-            for (k, (a, b)) in got.km.iter().zip(&want.km).enumerate() {
-                prop_assert_eq!(
-                    a.0.to_bits(), b.0.to_bits(),
-                    "km bits diverge for src {:?} dst {}", src, k
-                );
-                prop_assert_eq!(a.1, b.1, "route hops diverge for src {:?} dst {}", src, k);
-            }
-            prop_assert_eq!(&got.hops, &want.hops, "BFS levels diverge for src {:?}", src);
+            assert_ball_matches(&g2.routing_tables_within(src, u32::MAX), &want, u32::MAX, c.len());
+            assert_ball_matches(&g2.routing_tables_within(src, 2), &want, 2, c.len());
         }
     }
 
@@ -628,22 +620,23 @@ proptest! {
             }
 
             // Memoized lookups: a narrower query is served from the
-            // cached wider ball, and from a cached full table on a graph
-            // that has one; both read the fresh ball's entries.
+            // cached wider ball, and from a cached whole-component ball on
+            // a graph that has one; both read the fresh ball's entries.
             let wide = g.routing_tables_within(src, radius);
             let narrowed = g.routing_tables_within(src, narrow);
             assert_ball_matches(&wide, &full, radius, n);
             assert_ball_matches(&narrowed, &full, narrow, n);
-            let from_full = IslGraph::build(&c, t, &faults);
-            from_full.routing_tables(src);
-            let over_full = from_full.routing_tables_within(src, narrow);
-            assert_ball_matches(&over_full, &full, narrow, n);
+            let from_whole = IslGraph::build(&c, t, &faults);
+            let whole = from_whole.routing_tables_within(src, u32::MAX);
+            assert_ball_matches(&whole, &full, u32::MAX, n);
+            let over_whole = from_whole.routing_tables_within(src, narrow);
+            assert_ball_matches(&over_whole, &full, narrow, n);
             // The merge-pass lookup over an ascending copy set reads what
-            // per-satellite reads do, on member- and table-backed balls.
+            // per-satellite reads do, on narrowed and whole balls.
             let mut rng = DetRng::new(seed, "prop-ball-lookup");
             let copies: Vec<SatIndex> =
                 (0..n as u32).filter(|_| rng.index(3) == 0).map(SatIndex).collect();
-            for ball in [&wide, &narrowed, &over_full] {
+            for ball in [&wide, &narrowed, &over_whole] {
                 let mut merged = Vec::new();
                 ball.lookup_sorted(copies.iter().copied(), |m| merged.push(m));
                 let each: Vec<BallMember> = copies
@@ -658,10 +651,7 @@ proptest! {
             }
             if routing_cache_enabled() {
                 prop_assert!(RoutingBall::ptr_eq(&wide, &narrowed));
-                prop_assert!(RoutingBall::ptr_eq(
-                    &over_full,
-                    &RoutingBall::full(from_full.routing_tables(src))
-                ));
+                prop_assert!(RoutingBall::ptr_eq(&over_whole, &whole));
             }
         }
     }

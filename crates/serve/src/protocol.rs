@@ -219,21 +219,20 @@ impl Command {
                 let d = CreateArgs::default();
                 let args = CreateArgs {
                     session: str_field(&value, "session")?,
-                    seed: u64_field(&value, "seed").unwrap_or(d.seed),
-                    constellation: str_field(&value, "constellation").unwrap_or(d.constellation),
-                    shells: u32s_field(&value, "shells").unwrap_or(d.shells),
-                    streams: u64_field(&value, "streams").map_or(d.streams, |v| v as u32),
-                    catalog: match u64_field(&value, "catalog") {
-                        Ok(v) => u32::try_from(v).map_err(|_| {
-                            format!("catalog must be at most {}, got {v}", u32::MAX)
-                        })?,
-                        Err(_) => d.catalog,
-                    },
-                    zipf_alpha: f64_field(&value, "zipf_alpha").unwrap_or(d.zipf_alpha),
-                    cache_mb: u64_field(&value, "cache_mb").map_or(d.cache_mb, |v| v as u32),
-                    duty: f64_field(&value, "duty").unwrap_or(d.duty),
-                    copies_per_plane: u64_field(&value, "copies_per_plane")
-                        .map_or(d.copies_per_plane, |v| v as u32),
+                    seed: field_or(&value, "seed", d.seed, u64_field)?,
+                    constellation: field_or(&value, "constellation", d.constellation, str_field)?,
+                    shells: field_or(&value, "shells", d.shells, u32s_field)?,
+                    streams: field_or(&value, "streams", d.streams, u32_field)?,
+                    catalog: field_or(&value, "catalog", d.catalog, u32_field)?,
+                    zipf_alpha: field_or(&value, "zipf_alpha", d.zipf_alpha, f64_field)?,
+                    cache_mb: field_or(&value, "cache_mb", d.cache_mb, u32_field)?,
+                    duty: field_or(&value, "duty", d.duty, f64_field)?,
+                    copies_per_plane: field_or(
+                        &value,
+                        "copies_per_plane",
+                        d.copies_per_plane,
+                        u32_field,
+                    )?,
                 };
                 if !(args.zipf_alpha.is_finite() && args.zipf_alpha >= 0.0) {
                     return Err(format!(
@@ -272,23 +271,18 @@ impl Command {
                     lon,
                 })
             }
-            "traffic" => {
-                let epochs = u64_field(&value, "epochs").unwrap_or(1);
-                let epochs = u32::try_from(epochs)
-                    .map_err(|_| format!("epochs must be at most {}, got {epochs}", u32::MAX))?;
-                Ok(Command::Traffic {
-                    session: str_field(&value, "session")?,
-                    requests: u64_field(&value, "requests")?,
-                    epochs,
-                    epoch_step_secs: u64_field(&value, "epoch_step_secs").unwrap_or(157),
-                })
-            }
+            "traffic" => Ok(Command::Traffic {
+                session: str_field(&value, "session")?,
+                requests: u64_field(&value, "requests")?,
+                epochs: field_or(&value, "epochs", 1, u32_field)?,
+                epoch_step_secs: field_or(&value, "epoch_step_secs", 157, u64_field)?,
+            }),
             "fault" => Ok(Command::Fault {
                 session: str_field(&value, "session")?,
                 sats: u32s_field(&value, "sats")?,
                 from_secs: u64_field(&value, "from_secs")?,
                 until_secs: u64_field(&value, "until_secs").ok(),
-                gsl: bool_field(&value, "gsl").unwrap_or(false),
+                gsl: field_or(&value, "gsl", false, bool_field)?,
             }),
             "duty" => Ok(Command::Duty {
                 session: str_field(&value, "session")?,
@@ -492,6 +486,25 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
         },
         Some(other) => Err(format!("field {key:?} must be a number, got {other:?}")),
         None => Err(format!("missing field {key:?}")),
+    }
+}
+
+fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
+    let n = u64_field(v, key)?;
+    u32::try_from(n).map_err(|_| format!("field {key:?} must be at most {}, got {n}", u32::MAX))
+}
+
+/// `parse(v, key)` when `key` is present and `default` when it is absent:
+/// a present field that does not parse is an error, never its default.
+fn field_or<T>(
+    v: &Value,
+    key: &str,
+    default: T,
+    parse: fn(&Value, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    match v.get(key) {
+        Some(_) => parse(v, key),
+        None => Ok(default),
     }
 }
 

@@ -57,8 +57,3 @@ pub fn shutdown_requested() -> bool {
 pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
-
-/// Reset the flag — for tests that start several daemons in one process.
-pub fn reset_for_tests() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}

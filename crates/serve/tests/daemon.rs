@@ -485,6 +485,44 @@ fn create_with_catalog_below_streams_is_rejected_before_journaling() {
 }
 
 #[test]
+fn create_with_malformed_or_oversized_fields_is_rejected_before_journaling() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("badfields");
+    let mut c = daemon.client();
+    for (field, fields) in [
+        // Malformed: would otherwise fall back to the default catalog.
+        ("catalog", "\"catalog\":-1"),
+        // 2^32 + 1 would truncate to one stream.
+        ("streams", "\"streams\":4294967297"),
+        ("cache_mb", "\"cache_mb\":4294967296"),
+        ("copies_per_plane", "\"copies_per_plane\":\"2\""),
+        ("seed", "\"seed\":1.5"),
+        ("zipf_alpha", "\"zipf_alpha\":null"),
+    ] {
+        let resp = c.rejected(&format!(
+            "{{\"op\":\"create\",\"session\":\"a\",\"constellation\":\"test\",{fields}}}"
+        ));
+        assert!(resp.contains(field), "{fields} -> {resp}");
+        assert!(!daemon.journal("a").exists(), "{fields} left a journal");
+    }
+    // Absent fields still take their defaults, and the name is still free.
+    c.ok("{\"op\":\"create\",\"session\":\"a\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    for fields in ["\"epochs\":\"2\"", "\"epoch_step_secs\":-60"] {
+        let resp = c.rejected(&format!(
+            "{{\"op\":\"traffic\",\"session\":\"a\",\"requests\":100,{fields}}}"
+        ));
+        assert!(resp.contains("epoch"), "{fields} -> {resp}");
+    }
+    c.ok("{\"op\":\"traffic\",\"session\":\"a\",\"requests\":100}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"a\"}");
+    assert!(live_report.contains("\"bursts\":1,"), "{live_report}");
+    // Nothing rejected reached the journal: it replays to the live report.
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("a")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
 fn advance_that_would_overflow_the_clock_is_rejected() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let daemon = start_daemon("overflow");

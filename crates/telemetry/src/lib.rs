@@ -1,8 +1,7 @@
 //! Zero-dependency observability for the SpaceCDN workspace.
 //!
-//! After two performance PRs the hot paths were only visible through a
-//! scatter of ad-hoc counters (`SnapshotPool::hits`,
-//! `RoutingCache::reverse_table_hits`) and one-off bench prints. This crate
+//! Without it the hot paths are only visible through a scatter of ad-hoc
+//! counters (`SnapshotPool::hits`) and one-off bench prints. This crate
 //! is the uniform answer to "what did this campaign actually do?": a
 //! process-wide [`registry`] of named metrics every layer reports into, and
 //! a deterministic JSON snapshot every experiment binary drops next to its

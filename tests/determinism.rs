@@ -11,7 +11,8 @@ use spacecdn_suite::core::{clear_graph_pool, graph_pool_stats};
 use spacecdn_suite::engine::{set_snapshot_pool_override, set_thread_override};
 use spacecdn_suite::geo::{DetRng, SimTime};
 use spacecdn_suite::lsn::{
-    set_routing_cache_override, FaultPlan, FaultSchedule, IslGraph, SourceTables,
+    hop_distances, set_routing_cache_override, FaultPlan, FaultSchedule, IslGraph, RoutingBall,
+    SourceTables,
 };
 use spacecdn_suite::measure::aim::{AimCampaign, AimConfig};
 use spacecdn_suite::measure::spacecdn::hop_bound_experiment;
@@ -559,16 +560,19 @@ fn hop_distance_between_is_symmetric_and_reuses_tables() {
     let pairs = [(0u32, 900u32), (111, 1583), (700, 42)];
     for (a, b) in pairs {
         let (a, b) = (SatIndex(a), SatIndex(b));
-        let forward = graph.hop_distance_between(a, b);
-        // The reverse query must be answered from the same table (hops are
-        // integer BFS levels — direction can't change them) without
-        // computing b's table.
-        let before = graph.reverse_table_hits();
-        let backward = graph.hop_distance_between(b, a);
-        assert_eq!(forward, backward, "hop distance asymmetric {a:?}↔{b:?}");
+        let forward = graph.routing_tables_within(a, u32::MAX);
+        let backward = graph.routing_tables_within(b, u32::MAX);
+        // Hops are integer BFS levels: direction can't change them.
+        assert_eq!(
+            forward.hops(b),
+            backward.hops(a),
+            "hop distance asymmetric {a:?}↔{b:?}"
+        );
+        assert_eq!(forward.hops(b), hop_distances(&graph, a)[b.as_usize()]);
+        // A narrower lookup is answered by the memoized ball.
         assert!(
-            graph.reverse_table_hits() > before,
-            "reverse lookup recomputed instead of reusing {a:?}'s table"
+            RoutingBall::ptr_eq(&forward, &graph.routing_tables_within(a, 10)),
+            "lookup recomputed instead of reusing {a:?}'s ball"
         );
     }
     set_routing_cache_override(None);
@@ -587,15 +591,26 @@ fn routing_cache_matches_direct_computation_on_faulted_graph() {
         let src = SatIndex(src);
         let direct = SourceTables::compute(&graph, src);
 
+        let reads_direct = |ball: &RoutingBall| {
+            (0..graph.len()).all(|i| {
+                let sat = SatIndex(i as u32);
+                ball.hops(sat) == direct.hops[i] && ball.km(sat) == direct.km[i]
+            })
+        };
         set_routing_cache_override(Some(true));
-        let cached = graph.routing_tables(src);
-        assert_eq!(*cached, direct, "cached tables diverge for {src:?}");
-        // A second lookup returns the same memoized entry.
-        assert_eq!(*graph.routing_tables(src), direct);
+        let cached = graph.routing_tables_within(src, u32::MAX);
+        assert!(reads_direct(&cached), "cached ball diverges for {src:?}");
+        // A second lookup, of any radius, returns the same memoized entry.
+        let again = graph.routing_tables_within(src, 10);
+        assert!(RoutingBall::ptr_eq(&cached, &again));
 
         set_routing_cache_override(Some(false));
-        let uncached = graph.routing_tables(src);
-        assert_eq!(*uncached, direct, "kill switch changes answers for {src:?}");
+        let uncached = graph.routing_tables_within(src, u32::MAX);
+        assert!(!RoutingBall::ptr_eq(&cached, &uncached));
+        assert!(
+            reads_direct(&uncached),
+            "kill switch changes answers for {src:?}"
+        );
     }
     set_routing_cache_override(None);
 }

@@ -204,7 +204,7 @@ fn pinned_layout(
 struct NaiveShellCtx {
     overhead_slot: u32,
     user_prop: Latency,
-    tables: Arc<SourceTables>,
+    tables: SourceTables,
     neighbors: Vec<(u32, Latency)>,
 }
 
@@ -384,7 +384,7 @@ fn naive_traffic(
                     ctx.push(Some(NaiveShellCtx {
                         overhead_slot: slot,
                         user_prop,
-                        tables: graph.routing_tables(sat),
+                        tables: SourceTables::compute(graph, sat),
                         neighbors,
                     }));
                 }
