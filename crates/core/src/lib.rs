@@ -32,6 +32,7 @@
 
 pub mod bubbles;
 pub mod duty_cycle;
+mod ladder;
 pub mod network;
 pub mod placement;
 pub mod power;

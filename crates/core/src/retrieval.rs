@@ -13,10 +13,12 @@
 //! topology snapshot — either directly via [`RetrievalRequest::execute`]
 //! or through a long-lived [`crate::scenario::Scenario`] session. Both
 //! [`RetrievalRequest::execute`] and [`RetrievalRequest::execute_multishell`]
-//! run one private escalation-ladder kernel; the differential oracle in
+//! decide through the crate-private `ladder` kernel, the same one the
+//! traffic engine's candidate fold uses; the differential oracle in
 //! `crates/core/tests/oracle.rs` checks it bit for bit against an
 //! independent reference pipeline.
 
+use crate::ladder;
 use spacecdn_geo::propagation::{propagation_delay, Medium};
 use spacecdn_geo::{DetRng, Geodetic, Km, Latency};
 use spacecdn_lsn::{AccessModel, IslGraph};
@@ -208,10 +210,7 @@ impl RetrievalRequest {
     }
 
     fn validate(&self) {
-        assert!(
-            !self.escalation.is_empty() && self.escalation.windows(2).all(|w| w[0] < w[1]),
-            "escalation ladder must be non-empty and ascending"
-        );
+        ladder::check(&self.escalation);
     }
 
     /// Execute the request against one shell's topology snapshot and the
@@ -324,16 +323,11 @@ impl RetrievalRequest {
         }
     }
 
-    /// The Figure 6 kernel behind every fetch: find the overhead
-    /// satellite, then walk `ladder` (non-empty, ascending) for the
-    /// latency-optimal alive copy within each rung's BFS hop budget, and
-    /// serve the first one that beats the ground fallback on RTT.
-    ///
-    /// Escalation continues past a rung whose best copy loses to the
-    /// ground: a wider radius admits more copies, and the +Grid's long
-    /// intra-plane hops mean a hop-farther copy can still be
-    /// kilometre-cheaper. An overhead hit is decided on the first rung,
-    /// since no copy is cheaper than a zero-cost one.
+    /// Every fetch's path through the Figure 6 decision: find the
+    /// overhead satellite, price each alive copy within the widest rung
+    /// of `ladder` (non-empty, ascending), and let [`crate::ladder`] pick
+    /// the latency-optimal copy of the first rung that beats the ground
+    /// fallback on RTT.
     ///
     /// `graceful` picks three behaviours that recorded outputs depend on:
     /// the jitter draw point (eager, as soon as an overhead satellite
@@ -372,11 +366,12 @@ impl RetrievalRequest {
         };
         let mut user_link = graceful.then(&mut sample_user_link);
 
-        // (satellite, BFS hop distance, space-segment RTT cost) of every
-        // alive copy within the widest rung, in BTreeSet order. No copy
-        // beyond that rung can win one, so the tables need only reach it.
-        let (copies, ladder) = if caches.contains(&overhead) && graph.is_alive(overhead) {
-            (vec![(overhead, 0, Latency::ZERO)], &ladder[..1])
+        // Per-rung bests over every alive copy, in BTreeSet order. An
+        // overhead copy is decided on the first rung, since no copy is
+        // cheaper than a zero-cost one; otherwise no copy beyond the
+        // widest rung can win one, so the tables need only reach it.
+        let (rungs, ladder) = if caches.contains(&overhead) && graph.is_alive(overhead) {
+            (vec![Some((Latency::ZERO, 0, overhead))], &ladder[..1])
         } else {
             let widest = ladder[ladder.len() - 1];
             let tables = {
@@ -384,71 +379,59 @@ impl RetrievalRequest {
                 graph.routing_tables_within(overhead, widest)
             };
             // One merge pass of the ascending copy set against the ball.
-            let mut copies = Vec::new();
+            let mut rungs = vec![None; ladder.len()];
             tables.lookup_sorted(caches.iter().copied(), |m| {
                 if graph.is_alive(m.sat) {
                     let cost = space_segment_cost(access, m.km, m.route_hops);
-                    copies.push((m.sat, m.hops, cost));
+                    ladder::offer(ladder, &mut rungs, cost, m.hops, m.sat);
                 }
             });
-            (copies, ladder)
+            (rungs, ladder)
         };
-        // The cheapest copy's space segment: the widest rung admits every
-        // copy, so the loop below draws the user link before it returns
-        // whenever there is one.
-        let best_cost = copies
-            .iter()
-            .map(|&(_, _, cost)| cost)
-            .reduce(|a, b| if b < a { b } else { a });
+        // The widest rung admits every copy, so it holds the cheapest; a
+        // non-graceful fetch draws its user link only when there is one.
+        let cheapest = rungs[rungs.len() - 1];
+        let any_in_budget = cheapest.is_some();
+        if any_in_budget {
+            user_link.get_or_insert_with(&mut sample_user_link);
+        }
+        let best_space_rtt = cheapest.zip(user_link).map(|((c, _, _), u)| u + c);
+        // A rational client takes whichever source is cheaper: a copy at
+        // the far edge of a generous hop budget — or even the overhead
+        // satellite behind a slow user link — can cost more than the bent
+        // pipe to the ground cache.
+        let served =
+            user_link.and_then(|u| ladder::first_within(&rungs, u, self.ground_fallback_rtt));
+        let attempts = served.map_or(ladder.len(), |(rung, ..)| rung + 1) as u32;
+        if graceful && attempts > 1 {
+            RESILIENT_RETRIES.add(u64::from(attempts - 1));
+        }
 
-        let mut attempts = 0u32;
-        let mut any_in_budget = false;
-        for &budget in ladder {
-            attempts += 1;
-            if graceful && attempts > 1 {
-                RESILIENT_RETRIES.incr();
-            }
-            let mut best: Option<(SatIndex, u32, Latency)> = None;
-            for &(sat, h, cost) in &copies {
-                if h <= budget && best.is_none_or(|(_, _, b)| cost < b) {
-                    best = Some((sat, h, cost));
-                }
-            }
-            let Some((serving, bfs_hops, space_cost)) = best else {
-                continue;
+        if let Some((_, rtt, bfs_hops, serving)) = served {
+            // The source reports the BFS hop distance — the "found within
+            // n hops" metric of the paper — even when the latency-optimal
+            // route takes more (shorter) hops.
+            let source = if bfs_hops == 0 {
+                OVERHEAD_HITS.incr();
+                RetrievalSource::Overhead
+            } else {
+                ISL_HITS.incr();
+                ISL_HOPS.record(u64::from(bfs_hops));
+                RetrievalSource::Isl { hops: bfs_hops }
             };
-            any_in_budget = true;
-            let rtt = *user_link.get_or_insert_with(&mut sample_user_link) + space_cost;
-            // A rational client takes whichever source is cheaper: a copy
-            // at the far edge of a generous hop budget — or even the
-            // overhead satellite behind a slow user link — can cost more
-            // than the bent pipe to the ground cache.
-            if rtt <= self.ground_fallback_rtt {
-                // The source reports the BFS hop distance — the "found
-                // within n hops" metric of the paper — even when the
-                // latency-optimal route takes more (shorter) hops.
-                let source = if bfs_hops == 0 {
-                    OVERHEAD_HITS.incr();
-                    RetrievalSource::Overhead
-                } else {
-                    ISL_HITS.incr();
-                    ISL_HOPS.record(u64::from(bfs_hops));
-                    RetrievalSource::Isl { hops: bfs_hops }
-                };
-                if graceful {
-                    RESILIENT_ATTEMPTS.record(u64::from(attempts));
-                }
-                return FetchResult {
-                    outcome: Some(RetrievalOutcome {
-                        source,
-                        rtt,
-                        serving_sat: Some(serving),
-                    }),
-                    attempts,
-                    degraded: None,
-                    best_space_rtt: best_cost.zip(user_link).map(|(c, u)| u + c),
-                };
+            if graceful {
+                RESILIENT_ATTEMPTS.record(u64::from(attempts));
             }
+            return FetchResult {
+                outcome: Some(RetrievalOutcome {
+                    source,
+                    rtt,
+                    serving_sat: Some(serving),
+                }),
+                attempts,
+                degraded: None,
+                best_space_rtt,
+            };
         }
 
         GROUND_FALLBACKS.incr();
@@ -476,7 +459,7 @@ impl RetrievalRequest {
             outcome: Some(self.ground()),
             attempts,
             degraded: Some(reason),
-            best_space_rtt: best_cost.zip(user_link).map(|(c, u)| u + c),
+            best_space_rtt,
         }
     }
 }

@@ -69,6 +69,7 @@
 //! constellation, proven by `tests/determinism.rs`.
 
 use crate::duty_cycle::DutyCycler;
+use crate::ladder::{self, RungBest};
 use crate::placement::{PlacementPlan, PlacementSpec};
 use crate::retrieval::{neighbor_probe_cost, space_segment_cost};
 use crate::scenario::Scenario;
@@ -195,7 +196,8 @@ pub struct TrafficConfig {
     pub duty_fraction: f64,
     /// Duty-cycle slot length.
     pub duty_slot: SimDuration,
-    /// Hop-budget escalation ladder for every fetch.
+    /// Hop-budget escalation ladder for every fetch (non-empty, strictly
+    /// ascending).
     pub escalation: Vec<u32>,
     /// Orbit-aware replica placement: when set, a slot-keyed
     /// [`PlacementPlan`] pre-seeds pinned copies across the shells,
@@ -502,9 +504,6 @@ struct RankMemo {
     seen: u32,
 }
 
-/// Per-rung best candidate: (base RTT, hops, global slot | [`PIN_FLAG`]).
-type RungBest = Option<(Latency, u32, u32)>;
-
 /// One shard's scan memos, stored only for the (source, rank) pairs its
 /// requests actually touch. A burst touches at most one pair per
 /// request, far fewer than `sources × ranks` on a large catalog, so the
@@ -517,8 +516,8 @@ struct MemoArena {
     /// Touched memos, in first-touch order.
     memos: Vec<RankMemo>,
     /// Per-rung bests of every memo, `stride` entries per memo in arena
-    /// order.
-    bests: Vec<RungBest>,
+    /// order; their ids are global slots tagged with [`PIN_FLAG`].
+    bests: Vec<RungBest<u32>>,
     /// Rungs per memo: the cooperative rung (if any) plus the ladder.
     stride: usize,
 }
@@ -547,7 +546,7 @@ impl MemoArena {
     /// The memo of (`si`, `rank`) and its per-rung bests. A first touch
     /// appends a zeroed memo, whose `gen` matches no live context, so
     /// the caller rebuilds it exactly as it would a stale one.
-    fn entry(&mut self, si: usize, rank: usize) -> (&mut RankMemo, &mut [RungBest]) {
+    fn entry(&mut self, si: usize, rank: usize) -> (&mut RankMemo, &mut [RungBest<u32>]) {
         let slot = &mut self.index[si * self.ranks + rank];
         if *slot == 0 {
             self.memos.push(RankMemo::default());
@@ -968,7 +967,7 @@ impl ShardWorld<'_> {
         // is decided by base RTT alone — the scan only reruns when the
         // holder list changes under this batch, which Zipf demand makes
         // rare exactly where requests concentrate.
-        let ladder = &self.cfg.escalation;
+        let escalation = &self.cfg.escalation;
         // With cooperative lookup on, rung 0 probes the overhead
         // satellite and its four +Grid neighbors (at digest-probe cost,
         // cheaper than the same hop through the ladder) *before* the
@@ -987,13 +986,11 @@ impl ShardWorld<'_> {
             // Fold candidates into the per-rung bests, in list order:
             // plan-pinned replicas first (only on a rebuild — their list
             // never changes, so a surviving memo already folded them),
-            // then the unseen dynamic-holder tail. `bests` is
-            // non-increasing in RTT across ladder rungs (wider budgets
-            // admit supersets), so a candidate cascades upward until it
-            // stops improving; strict `<` keeps the earliest candidate
-            // on exact ties, making the scan order part of the
-            // deterministic contract. Folding the tail of an unchanged
-            // prefix is exactly a full scan of the whole list.
+            // then the unseen dynamic-holder tail. The kernel keeps the
+            // earliest candidate on exact ties, making the scan order
+            // part of the deterministic contract, and folding the tail
+            // of an unchanged prefix is exactly a full scan of the whole
+            // list (see [`ladder::offer`]).
             let pinned_part: &[u32] = if rebuilt { &self.pinned[rank] } else { &[] };
             let tail = &hs[memo.seen as usize..];
             for (i, &g) in pinned_part.iter().chain(tail.iter()).enumerate() {
@@ -1015,21 +1012,10 @@ impl ShardWorld<'_> {
                             .map(|&(_, probe)| (probe, 1))
                     };
                     if let Some((crtt, chops)) = cand {
-                        match bests[0] {
-                            Some((brtt, _, _)) if crtt >= brtt => {}
-                            _ => bests[0] = Some((crtt, chops, gstore)),
-                        }
+                        ladder::offer(ladder::NEIGHBOR_RUNG, &mut bests[..1], crtt, chops, gstore);
                     }
                 }
-                let Some(j0) = ladder.iter().position(|&budget| hops <= budget) else {
-                    continue;
-                };
-                for best in &mut bests[rungs0 + j0..] {
-                    match *best {
-                        Some((brtt, _, _)) if rtt >= brtt => break,
-                        _ => *best = Some((rtt, hops, gstore)),
-                    }
-                }
+                ladder::offer(escalation, &mut bests[rungs0..], rtt, hops, gstore);
             }
             memo.seen = hs.len() as u32;
         }
@@ -1037,11 +1023,7 @@ impl ShardWorld<'_> {
         // Serve at the first rung whose best beats the bent pipe —
         // exactly the resilient escalation ladder, collapsed to one scan
         // (with the cooperative neighborhood probed first when enabled).
-        let served = bests
-            .iter()
-            .enumerate()
-            .filter_map(|(j, b)| b.map(|(base, hops, g)| (j, base + jitter, hops, g)))
-            .find(|&(_, rtt, _, _)| rtt <= fallback);
+        let served = ladder::first_within(bests, jitter, fallback);
 
         let latency = match served {
             Some((rung, rtt, hops, gstore)) => {
@@ -1272,6 +1254,7 @@ pub fn resolve_overheads(
 /// Validate the shared workload inputs (common to both entry points).
 fn validate(sources: &[TrafficSource], cfg: &TrafficConfig) {
     assert!(!sources.is_empty(), "traffic needs at least one source");
+    ladder::check(&cfg.escalation);
     assert!(cfg.streams >= 1, "traffic needs at least one stream");
     assert!(cfg.epochs >= 1, "traffic needs at least one epoch");
     assert!(
@@ -1306,8 +1289,9 @@ fn validate(sources: &[TrafficSource], cfg: &TrafficConfig) {
 ///
 /// # Panics
 /// Panics on an empty scenario or source list, a zero weight, a source
-/// whose `fallback_rtt` length differs from `cfg.epochs`, or a catalog
-/// smaller than the stream count.
+/// whose `fallback_rtt` length differs from `cfg.epochs`, a catalog
+/// smaller than the stream count, or an escalation ladder that is empty
+/// or not strictly ascending.
 pub fn run_traffic_multishell(
     scenarios: &mut [Scenario],
     sources: &[TrafficSource],
@@ -1384,13 +1368,7 @@ fn run_shards(
     // serve session's `fetch`) read uncut tables, which a cut one cannot
     // answer. Built uncut here, in the fan-out, they are built once.
     let live_graph = (cfg.epochs - 1) * shells;
-    let radius = cfg
-        .escalation
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(u32::from(coop));
+    let radius = cfg.escalation[cfg.escalation.len() - 1].max(u32::from(coop));
     let overheads = {
         let _span = TABLE_WARM_NS.timer();
         resolve_overheads(&all_graphs, &positions, radius, |gi, si| {
@@ -1657,7 +1635,9 @@ fn run_shards(
 /// constellation and fault schedule.
 ///
 /// # Panics
-/// Panics on the same invalid inputs as [`run_traffic_multishell`].
+/// Panics on the same invalid inputs as [`run_traffic_multishell`],
+/// among them an escalation ladder that is empty or not strictly
+/// ascending.
 pub fn run_traffic(
     scenario: &mut Scenario,
     sources: &[TrafficSource],
@@ -2222,6 +2202,28 @@ mod tests {
         let mut sc = small_scenario(FaultSchedule::none());
         let sources = test_sources(cfg.epochs + 1);
         run_traffic(&mut sc, &sources, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "escalation ladder must be non-empty and ascending")]
+    fn empty_escalation_ladder_panics() {
+        let cfg = TrafficConfig {
+            escalation: Vec::new(),
+            ..quick_cfg()
+        };
+        let mut sc = small_scenario(FaultSchedule::none());
+        run_traffic(&mut sc, &test_sources(cfg.epochs), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "escalation ladder must be non-empty and ascending")]
+    fn descending_escalation_ladder_panics() {
+        let cfg = TrafficConfig {
+            escalation: vec![5, 1],
+            ..quick_cfg()
+        };
+        let mut sc = small_scenario(FaultSchedule::none());
+        run_traffic(&mut sc, &test_sources(cfg.epochs), &cfg);
     }
 
     use crate::placement::{PlacementSpec, PlacementStrategy};

@@ -281,7 +281,7 @@ impl Command {
                 session: str_field(&value, "session")?,
                 sats: u32s_field(&value, "sats")?,
                 from_secs: u64_field(&value, "from_secs")?,
-                until_secs: u64_field(&value, "until_secs").ok(),
+                until_secs: nullable(&value, "until_secs", u64_field)?,
                 gsl: field_or(&value, "gsl", false, bool_field)?,
             }),
             "duty" => Ok(Command::Duty {
@@ -289,7 +289,7 @@ impl Command {
                 fraction: f64_field(&value, "fraction")?,
             }),
             "cache" => {
-                let policy = match str_field(&value, "policy").ok() {
+                let policy = match nullable(&value, "policy", str_field)? {
                     Some(name) => Some(
                         spacecdn_core::traffic::PolicyKind::parse(&name)
                             .ok_or_else(|| format!("unknown cache policy {name:?}"))?
@@ -305,7 +305,7 @@ impl Command {
                 })
             }
             "place" => {
-                let spec = match str_field(&value, "spec").ok() {
+                let spec = match nullable(&value, "spec", str_field)? {
                     Some(name) if name == "off" => None,
                     Some(name) => Some(
                         spacecdn_core::PlacementSpec::parse(&name)
@@ -505,6 +505,20 @@ fn field_or<T>(
     match v.get(key) {
         Some(_) => parse(v, key),
         None => Ok(default),
+    }
+}
+
+/// `Some(parse(v, key))` when `key` holds a value and `None` when it is
+/// `null` or absent: a present field that does not parse is an error,
+/// never `None`.
+fn nullable<T>(
+    v: &Value,
+    key: &str,
+    parse: fn(&Value, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(_) => parse(v, key).map(Some),
     }
 }
 

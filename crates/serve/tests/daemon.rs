@@ -523,6 +523,41 @@ fn create_with_malformed_or_oversized_fields_is_rejected_before_journaling() {
 }
 
 #[test]
+fn malformed_optional_mutation_fields_are_rejected_before_journaling() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = start_daemon("nullable");
+    let mut c = daemon.client();
+    c.ok("{\"op\":\"create\",\"session\":\"m\",\"constellation\":\"test\",\"catalog\":200,\"streams\":2}");
+    let journal = || std::fs::read_to_string(daemon.journal("m")).expect("journal readable");
+    let before = journal();
+    for (field, line) in [
+        // Would otherwise journal as `null`: an outage that never ends.
+        (
+            "until_secs",
+            "{\"op\":\"fault\",\"session\":\"m\",\"sats\":[3],\"from_secs\":10,\"until_secs\":-5}",
+        ),
+        // Would otherwise keep the current policy.
+        (
+            "policy",
+            "{\"op\":\"cache\",\"session\":\"m\",\"bytes_per_sat\":1048576,\"policy\":5}",
+        ),
+        // Would otherwise turn placement off.
+        ("spec", "{\"op\":\"place\",\"session\":\"m\",\"spec\":7}"),
+    ] {
+        let resp = c.rejected(line);
+        assert!(resp.contains(field), "{line} -> {resp}");
+        assert_eq!(journal(), before, "{line} reached the journal");
+    }
+    // Explicit `null` still means "absent".
+    c.ok("{\"op\":\"fault\",\"session\":\"m\",\"sats\":[3],\"from_secs\":10,\"until_secs\":null}");
+    c.ok("{\"op\":\"traffic\",\"session\":\"m\",\"requests\":100}");
+    let live_report = c.ok("{\"op\":\"report\",\"session\":\"m\"}");
+    let replayed = spacecdn_serve::journal::replay(&daemon.journal("m")).expect("replay");
+    assert_eq!(replayed, live_report);
+    daemon.shutdown();
+}
+
+#[test]
 fn advance_that_would_overflow_the_clock_is_rejected() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let daemon = start_daemon("overflow");
