@@ -1,30 +1,18 @@
-//! The Figure 6 decision, once: serve from the overhead satellite, else
-//! from the cheapest copy within the first ISL hop budget of the
-//! escalation ladder whose best beats the ground, else from the ground.
-//!
-//! Both fetch paths decide through this kernel: the single fetch of
-//! [`crate::retrieval::RetrievalRequest`] (Figures 7 and 8,
-//! `Scenario::fetch`, the serve `fetch`) and the traffic engine's
-//! memoized candidate fold and serve pick. A caller prices each candidate
-//! at a *base* RTT that leaves out a term common to every candidate of
-//! the fetch (the single fetch's user link, the engine's scheduling
-//! jitter), [`offer`]s it into one [`RungBest`] per rung, and asks
-//! [`first_within`] which rung serves once that term is added back. The
-//! kernel draws no randomness and records no telemetry: jitter draw
-//! points, dead-zone reporting and counters stay with the callers.
-//!
-//! Because the common term shifts every candidate alike, the per-rung
-//! winners depend on base RTTs alone, which is what lets the engine keep
-//! them across requests and fold in only holders it has not seen.
+//! The Figure 6 decision, shared by the single fetch
+//! ([`crate::retrieval::RetrievalRequest`]) and the traffic engine: serve
+//! the cheapest copy of the first hop-budget rung that beats the ground,
+//! else the ground. Callers price candidates at a *base* RTT that leaves
+//! out a term common to the whole fetch (user link, scheduling jitter),
+//! [`offer`] them into one [`RungBest`] per rung and ask [`first_within`]
+//! with that term added back, so per-rung winners depend on base RTTs
+//! alone. No RNG draws, no telemetry: those stay with the callers.
 
 use spacecdn_geo::Latency;
 
-/// One rung's best candidate so far: (base RTT, BFS hop distance, id),
-/// or `None` while the rung admits no candidate.
+/// One rung's best candidate so far, (base RTT, BFS hops, id); `None` if none.
 pub(crate) type RungBest<T> = Option<(Latency, u32, T)>;
 
-/// The cooperative rung's budget: the overhead satellite and its one-hop
-/// +Grid neighbors, probed before the escalation ladder.
+/// The cooperative rung's budget: the overhead satellite or a +Grid neighbor.
 pub(crate) const NEIGHBOR_RUNG: &[u32] = &[1];
 
 /// Panics unless `ladder` is non-empty and strictly ascending, the shape
@@ -36,16 +24,11 @@ pub(crate) fn check(ladder: &[u32]) {
     );
 }
 
-/// Fold one candidate into `rungs`, one per hop budget of `ladder`.
-///
-/// The candidate enters at the first rung whose budget admits `hops` and
-/// cascades upward while it strictly beats the rung's best. Rung bests
-/// never increase up the ladder (a wider budget admits a superset), so the
-/// first rung it does not improve ends the cascade. Strict `<` keeps the
-/// earliest candidate on an exact tie: offering candidates in a fixed
-/// order makes the fold equal to a per-rung minimum over that order, and
-/// offering a list's tail after its prefix equals offering the whole list.
-#[inline]
+/// Fold one candidate into `rungs`, one per hop budget of `ladder`, from
+/// the first rung admitting `hops` upward. Bests never increase up the
+/// ladder, so the first rung it does not strictly beat ends the cascade.
+/// Strict `<` keeps the earliest candidate on a tie, so folding a prefix
+/// and then its tail equals a per-rung minimum over the whole list.
 pub(crate) fn offer<T: Copy>(
     ladder: &[u32],
     rungs: &mut [RungBest<T>],
@@ -65,14 +48,10 @@ pub(crate) fn offer<T: Copy>(
     }
 }
 
-/// The first rung whose best, priced at `base + extra`, is no dearer than
-/// the `ground` fallback: (rung index, that RTT, hops, id). `None` means
-/// the fetch goes to the ground.
-///
-/// Escalation continues past a rung whose best loses to the ground: a
-/// wider budget admits more copies, and the +Grid's long intra-plane hops
-/// mean a hop-farther copy can still be kilometre-cheaper.
-#[inline]
+/// The first rung whose best, at `base + extra`, is no dearer than the
+/// `ground` fallback: (rung, that RTT, hops, id); `None` serves the
+/// ground. A rung that loses is passed over, since a wider budget can
+/// admit a kilometre-cheaper copy over the +Grid's long intra-plane hops.
 pub(crate) fn first_within<T: Copy>(
     rungs: &[RungBest<T>],
     extra: Latency,

@@ -209,10 +209,6 @@ impl RetrievalRequest {
         self
     }
 
-    fn validate(&self) {
-        ladder::check(&self.escalation);
-    }
-
     /// Execute the request against one shell's topology snapshot and the
     /// set of satellites currently caching the object. When `rng` is
     /// given, user-link jitter is sampled (at most once per fetch).
@@ -223,7 +219,7 @@ impl RetrievalRequest {
         caches: &BTreeSet<SatIndex>,
         rng: Option<&mut DetRng>,
     ) -> FetchResult {
-        self.validate();
+        ladder::check(&self.escalation);
         let ladder = if self.graceful {
             &self.escalation[..]
         } else {
@@ -247,7 +243,7 @@ impl RetrievalRequest {
         caches: &[BTreeSet<SatIndex>],
         mut rng: Option<&mut DetRng>,
     ) -> FetchResult {
-        self.validate();
+        ladder::check(&self.escalation);
         assert_eq!(
             shells.len(),
             caches.len(),
@@ -370,29 +366,28 @@ impl RetrievalRequest {
         // overhead copy is decided on the first rung, since no copy is
         // cheaper than a zero-cost one; otherwise no copy beyond the
         // widest rung can win one, so the tables need only reach it.
-        let (rungs, ladder) = if caches.contains(&overhead) && graph.is_alive(overhead) {
-            (vec![Some((Latency::ZERO, 0, overhead))], &ladder[..1])
+        let overhead_hit = caches.contains(&overhead) && graph.is_alive(overhead);
+        let ladder = if overhead_hit { &ladder[..1] } else { ladder };
+        let mut rungs = vec![None; ladder.len()];
+        if overhead_hit {
+            ladder::offer(ladder, &mut rungs, Latency::ZERO, 0, overhead);
         } else {
-            let widest = ladder[ladder.len() - 1];
             let tables = {
                 let _span = TABLE_NS.timer();
-                graph.routing_tables_within(overhead, widest)
+                graph.routing_tables_within(overhead, ladder[ladder.len() - 1])
             };
             // One merge pass of the ascending copy set against the ball.
-            let mut rungs = vec![None; ladder.len()];
             tables.lookup_sorted(caches.iter().copied(), |m| {
                 if graph.is_alive(m.sat) {
                     let cost = space_segment_cost(access, m.km, m.route_hops);
                     ladder::offer(ladder, &mut rungs, cost, m.hops, m.sat);
                 }
             });
-            (rungs, ladder)
-        };
+        }
         // The widest rung admits every copy, so it holds the cheapest; a
         // non-graceful fetch draws its user link only when there is one.
         let cheapest = rungs[rungs.len() - 1];
-        let any_in_budget = cheapest.is_some();
-        if any_in_budget {
+        if cheapest.is_some() {
             user_link.get_or_insert_with(&mut sample_user_link);
         }
         let best_space_rtt = cheapest.zip(user_link).map(|((c, _, _), u)| u + c);
@@ -435,7 +430,7 @@ impl RetrievalRequest {
         }
 
         GROUND_FALLBACKS.incr();
-        let (reason, graceful_tally, single_tally) = if any_in_budget {
+        let (reason, graceful_tally, single_tally) = if cheapest.is_some() {
             (
                 DegradeReason::GroundCheaper,
                 &DEGRADED_GROUND_CHEAPER,

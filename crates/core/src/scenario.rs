@@ -217,20 +217,13 @@ impl Scenario {
             .graph_handle();
     }
 
-    /// Advance through `epochs` topology epochs (`EPOCH + step·e`) and
+    /// Advance through `epochs` topology epochs (`start + step·e`) and
     /// return each epoch's pooled snapshot handle. This is the batched
     /// front door for engines that shard work across threads: all
     /// snapshots are frozen up front by one owner, so worker shards share
     /// the `Arc`s instead of racing the snapshot pool. The scenario is
-    /// left positioned at the final epoch.
-    pub fn freeze_epochs(&mut self, epochs: usize, step: SimDuration) -> Vec<Arc<IslGraph>> {
-        self.freeze_epochs_from(SimTime::EPOCH, epochs, step)
-    }
-
-    /// [`Self::freeze_epochs`] from an arbitrary origin: epochs are
-    /// `start + step·e`. Long-lived sessions (the `spacecdn-serve` clock)
-    /// freeze each traffic burst from wherever their virtual clock stands
-    /// instead of rewinding to [`SimTime::EPOCH`].
+    /// left positioned at the final epoch. Long-lived sessions (the
+    /// `spacecdn-serve` clock) freeze each burst from their running clock.
     pub fn freeze_epochs_from(
         &mut self,
         start: SimTime,

@@ -35,30 +35,10 @@ pub struct ArrivalStream<'a> {
 
 impl<'a> ArrivalStream<'a> {
     /// The arrival stream of shard `shard` under `seed`: `quota` requests
-    /// spread over `(EPOCH, horizon]` with mean rate `quota / horizon`.
-    pub fn new(
-        seed: u64,
-        shard: usize,
-        weight_cdf: &'a [u64],
-        sampler: &'a ZipfSampler,
-        horizon: SimTime,
-        quota: u64,
-    ) -> Self {
-        Self::starting_at(
-            seed,
-            shard,
-            weight_cdf,
-            sampler,
-            SimTime::EPOCH,
-            horizon,
-            quota,
-        )
-    }
-
-    /// [`Self::new`] from an arbitrary origin: `quota` requests spread
-    /// over `(start, horizon]`. The RNG stream and per-arrival draw order
-    /// are unchanged, so a stream starting at `start` is the `start`-shift
-    /// of the one starting at [`SimTime::EPOCH`], gap for gap.
+    /// spread over `(start, horizon]` with mean rate `quota / (horizon -
+    /// start)`. The RNG stream and per-arrival draw order do not depend on
+    /// `start`, so a stream starting at `start` is the `start`-shift of
+    /// the one starting at [`SimTime::EPOCH`], gap for gap.
     #[allow(clippy::too_many_arguments)]
     pub fn starting_at(
         seed: u64,

@@ -1,5 +1,4 @@
-//! A burst's read-only (epoch, source) geometry, resolved once before the
-//! shards start.
+//! A burst's read-only (epoch, source) geometry, built before the shards.
 
 use crate::retrieval::{neighbor_probe_cost, space_segment_cost};
 use spacecdn_engine::par_map;

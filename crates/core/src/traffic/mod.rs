@@ -3,53 +3,33 @@
 //! per-satellite caches across every shell.
 //!
 //! Everything else in this crate resolves *one* fetch against a fixed
-//! copy set. This module runs the workload the ROADMAP's million-user
-//! north star needs — tens of millions of requests over the full
-//! multi-shell constellation — in bounded memory and at ≥1M requests per
+//! copy set. This module runs tens of millions of requests over the full
+//! multi-shell constellation in bounded memory and at ≥1M requests per
 //! second. Three structural choices make that possible:
 //!
-//! - **Streaming arrivals.** A Poisson arrival process knows its next
-//!   event analytically, so [`ArrivalStream`] generates each shard's
-//!   arrivals lazily on the [`spacecdn_des::stream`] core (merged with
-//!   the fixed epoch ticks) instead of materializing millions of queue
-//!   entries. Per-shard memory is O(1) in the request count; the only
-//!   per-request retention is the latency reservoir in the report.
-//! - **Flat SoA cache state.** Per-satellite caches are one
-//!   [`PolicyFleet`] (LRU+TTL, SIEVE, S3-FIFO or W-TinyLFU, selected by
-//!   [`TrafficConfig::policy`]): parallel arrays indexed by a global
-//!   satellite slot with intrusive policy links, not a map of small
-//!   per-satellite caches (each policy proven decision-identical to a
-//!   naive reference by the differential oracle in `spacecdn-content`).
-//!   Holder lists — which satellites cache each object — are maintained
-//!   *eagerly*: LRU evictions report their victims, TTL lapses are
-//!   applied by a timer queue with lazy deletion, and epoch invalidations
-//!   drain the wiped slots. The
-//!   per-request candidate scan is therefore pure arithmetic over live
-//!   holders, with no per-candidate freshness probing.
-//! - **Batched retrieval per (epoch, source).** All requests a source
-//!   issues within one topology epoch share the same overhead satellite,
-//!   user-link geometry and routing tables per shell, on every shard. A
-//!   burst resolves each pair's geometry once before the shards start
-//!   ([`resolve_overheads`] warms the tables, one task per distinct
-//!   overhead satellite; the calling thread then assembles each pair's
-//!   `BatchGeo` and prices its candidates); shards only read it, and no
-//!   shard reads a routing table. The tables are member-sized
-//!   [`RoutingBall`]s out to the ladder's top rung — a holder beyond it
-//!   never wins a rung — whose walks also stop once no unsettled
-//!   satellite can beat the source's ground fallback (one that cannot
-//!   beat it never serves), memoized in each graph's routing cache under
-//!   its reuse rule (see [`spacecdn_lsn::cache`]). A ball holds only its
-//!   members, sorted by satellite, so neither the walks nor the pricing
-//!   touch a shell-length table. From the members the burst prices every
-//!   serving candidate once per (epoch, source): a read-only
-//!   `CandidateTable` holds a bitset over the burst's global slots (with
-//!   a per-word prefix count) and one `(base RTT, hops)` entry per
-//!   reachable slot, so a shard's candidate scan is one bit test per
-//!   holder, plus one packed read for the few inside the ball.
-//!   A shard keeps just a `BatchCtx` per source it serves — the memo
-//!   generation minted on first touch and a request count — and thousands
-//!   of requests reuse it (`core.traffic.batch.*` telemetry tracks the
-//!   amortization).
+//! - **Streaming arrivals.** A Poisson process knows its next event
+//!   analytically, so [`ArrivalStream`] generates each shard's arrivals
+//!   lazily on the [`spacecdn_des::stream`] core, merged with the epoch
+//!   ticks: per-shard memory is O(1) in the request count.
+//! - **Flat SoA cache state.** A shard's caches are one [`PolicyFleet`]
+//!   (LRU+TTL, SIEVE, S3-FIFO or W-TinyLFU, per [`TrafficConfig::policy`])
+//!   indexed by global satellite slot. Holder lists are kept exact
+//!   eagerly (evictions report victims, TTL lapses run off a timer queue,
+//!   invalidations drain wiped slots), so the candidate scan never probes
+//!   freshness.
+//! - **Batched retrieval per (epoch, source).** A source's requests in one
+//!   epoch share its overhead satellites, user links and routing balls on
+//!   every shard, so a burst resolves them once ([`resolve_overheads`]:
+//!   member-sized [`RoutingBall`]s cut at the ladder's top rung and the
+//!   ground fallback) and prices every serving candidate into a read-only
+//!   `CandidateTable`: a shard's scan is one bit test per holder and no
+//!   shard reads a routing table. Per-rung bests are memoized per (source,
+//!   rank) and decided by the crate's Figure 6 ladder kernel.
+//!
+//! Module map — `arrivals`: [`ArrivalStream`]; `geometry`: [`Overhead`],
+//! [`resolve_overheads`], `BatchGeo`, `CandidateTable`, `EpochGeo`;
+//! `shard`: the memo arena, `ShardWorld`, `run_shards`; this module:
+//! config, sources, report and merge, `validate`, the entry points.
 //!
 //! # Determinism contract
 //!

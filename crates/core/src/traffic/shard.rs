@@ -1,5 +1,4 @@
-//! One catalog shard's simulation: the scan memos, the shard's mutable
-//! world, and the burst driver that fans the shards out.
+//! One catalog shard's simulation and the burst's shard fan-out.
 
 use super::arrivals::{Arrival, ArrivalStream};
 use super::geometry::{resolve_overheads, BatchGeo, CandidateTable, EpochGeo};
@@ -188,14 +187,36 @@ struct BatchCtx {
     requests: u64,
 }
 
+/// Shard-local rank → global satellite slots holding a live copy.
+/// Maintained eagerly: pruned on eviction, TTL lapse, and epoch
+/// invalidation, so the serve-path scan needs no freshness probes.
+struct Holders {
+    lists: Vec<Vec<u32>>,
+    /// Per-rank count of holder *removals* (evictions, TTL lapses,
+    /// invalidations), starting at 1; appends are tracked by list length
+    /// instead, so scan memos survive them (see [`RankMemo`]).
+    removals: Vec<u32>,
+    rank_of: HashMap<ContentId, u32>,
+}
+
+impl Holders {
+    /// Drop `slot` from `content`'s holder list (order-insensitive) and
+    /// invalidate every memo built over the old membership.
+    fn prune(&mut self, content: ContentId, slot: u32) {
+        let rank = self.rank_of[&content] as usize;
+        let hs = &mut self.lists[rank];
+        if let Some(p) = hs.iter().position(|&g| g == slot) {
+            hs.swap_remove(p);
+            self.removals[rank] = self.removals[rank].wrapping_add(1);
+        }
+    }
+}
+
 /// Mutable state of one catalog shard's simulation.
 struct ShardWorld<'a> {
     service_rng: DetRng,
     fleet: PolicyFleet,
-    /// Shard-local rank → global satellite slots holding a live copy.
-    /// Maintained eagerly: pruned on eviction, TTL lapse, and epoch
-    /// invalidation, so the serve-path scan needs no freshness probes.
-    holders: Vec<Vec<u32>>,
+    holders: Holders,
     /// Shard-local rank → plan-pinned replica slots. Pinned copies live
     /// outside the policy fleet: they never evict, never expire, and
     /// survive outages (a dead pinned satellite is simply unreachable —
@@ -212,11 +233,6 @@ struct ShardWorld<'a> {
     /// (edge, regional, origin): the edge tier is the PoP the flat
     /// fallback already models, deeper tiers add their extra round trips.
     tier_surcharge: [Latency; 3],
-    /// Per-rank count of holder *removals* (evictions, TTL lapses,
-    /// invalidations), starting at 1; appends are tracked by list length
-    /// instead, so scan memos survive them (see [`RankMemo`]).
-    holder_removals: Vec<u32>,
-    rank_of: HashMap<ContentId, u32>,
     /// TTL timer queue with lazy deletion: every insert pushes
     /// `(expiry, slot, content)`; records whose entry was refreshed,
     /// evicted, or invalidated in the meantime are skipped on pop.
@@ -259,35 +275,12 @@ struct ShardWorld<'a> {
 }
 
 impl ShardWorld<'_> {
-    /// Drop `slot` from `content`'s holder list (order-insensitive) and
-    /// invalidate every memo built over the old membership.
-    fn prune_holder(
-        holders: &mut [Vec<u32>],
-        removals: &mut [u32],
-        rank_of: &HashMap<ContentId, u32>,
-        content: ContentId,
-        slot: u32,
-    ) {
-        let rank = rank_of[&content] as usize;
-        let hs = &mut holders[rank];
-        if let Some(p) = hs.iter().position(|&g| g == slot) {
-            hs.swap_remove(p);
-            removals[rank] = removals[rank].wrapping_add(1);
-        }
-    }
-
     /// Apply every TTL lapse due by `t`, keeping holder lists exact.
     fn drain_expiries(&mut self, t: SimTime) {
         while self.expiries.front().is_some_and(|&(e, _, _)| e <= t) {
             let (_, slot, content) = self.expiries.pop_front().expect("checked front");
             if self.fleet.expire_if_due(slot, content) {
-                Self::prune_holder(
-                    &mut self.holders,
-                    &mut self.holder_removals,
-                    &self.rank_of,
-                    content,
-                    slot,
-                );
+                self.holders.prune(content, slot);
             }
         }
     }
@@ -387,13 +380,13 @@ impl ShardWorld<'_> {
         // cheaper than the same hop through the ladder) *before* the
         // hop-budget escalation ladder, which follows shifted by one.
         let rungs0 = self.coop as usize;
-        let hs = &self.holders[rank];
+        let hs = &self.holders.lists[rank];
         let (memo, bests) = self.memos.entry(si, rank);
-        let rebuilt = memo.gen != gen || memo.removals != self.holder_removals[rank];
+        let rebuilt = memo.gen != gen || memo.removals != self.holders.removals[rank];
         if rebuilt {
             bests.fill(None);
             memo.gen = gen;
-            memo.removals = self.holder_removals[rank];
+            memo.removals = self.holders.removals[rank];
             memo.seen = 0;
         }
         if rebuilt || (memo.seen as usize) < hs.len() {
@@ -489,20 +482,14 @@ impl ShardWorld<'_> {
                         self.report.inserts += 1;
                         let shell = self.shell_of[fill as usize] as usize;
                         self.report.per_shell[shell].inserts += 1;
-                        let hs = &mut self.holders[rank];
+                        let hs = &mut self.holders.lists[rank];
                         if !hs.contains(&fill) {
                             hs.push(fill);
                         }
                         self.expiries.push_back((t + self.cfg.ttl, fill, content));
                     }
                     while let Some(victim) = self.dropped.pop() {
-                        Self::prune_holder(
-                            &mut self.holders,
-                            &mut self.holder_removals,
-                            &self.rank_of,
-                            victim,
-                            fill,
-                        );
+                        self.holders.prune(victim, fill);
                     }
                 }
                 let latency = self.ground_latency(si, content, fallback);
@@ -521,15 +508,18 @@ impl ShardWorld<'_> {
         self.latency_local.record((latency.ms() * 1000.0) as u64);
     }
 
+    /// Retire every batch context, recording its request count.
+    fn retire_batches(&mut self) {
+        for ctx in self.ctxs.iter_mut().filter_map(Option::take) {
+            BATCH_REQUESTS.record(ctx.requests);
+        }
+    }
+
     /// Swap to epoch `e`: retire every batch context (their geometry is
     /// stale) and wipe caches of satellites the fault schedule killed,
     /// draining their holder entries in the same pass.
     fn epoch_start(&mut self, e: usize) {
-        for slot in self.ctxs.iter_mut() {
-            if let Some(ctx) = slot.take() {
-                BATCH_REQUESTS.record(ctx.requests);
-            }
-        }
+        self.retire_batches();
         self.epoch = e;
         for (shell, graph) in self.graphs[e].iter().enumerate() {
             let off = self.shell_offsets[shell];
@@ -540,13 +530,7 @@ impl ShardWorld<'_> {
                     self.report.invalidations += n;
                     INVALIDATIONS.add(n);
                     while let Some(id) = self.dropped.pop() {
-                        Self::prune_holder(
-                            &mut self.holders,
-                            &mut self.holder_removals,
-                            &self.rank_of,
-                            id,
-                            g,
-                        );
+                        self.holders.prune(id, g);
                     }
                 }
             }
@@ -767,7 +751,11 @@ pub(super) fn run_shards(
         let mut world = ShardWorld {
             service_rng: DetRng::new(cfg.seed, &format!("traffic/service/{s}")),
             fleet: PolicyFleet::new(cfg.policy, total_sats as usize, cache_bytes, cfg.ttl),
-            holders: vec![Vec::new(); shard_ids.len()],
+            holders: Holders {
+                lists: vec![Vec::new(); shard_ids.len()],
+                removals: vec![1; shard_ids.len()],
+                rank_of,
+            },
             pinned,
             coop,
             ground: ground_tiers.then(|| {
@@ -779,8 +767,6 @@ pub(super) fn run_shards(
                 )
             }),
             tier_surcharge,
-            holder_removals: vec![1; shard_ids.len()],
-            rank_of,
             expiries: VecDeque::new(),
             ctxs: (0..sources.len()).map(|_| None).collect(),
             memos: MemoArena::new(
@@ -839,11 +825,7 @@ pub(super) fn run_shards(
         // End-of-stream accounting: retire the last epoch's batches,
         // sample final cache occupancy, and fold the fleet's eviction
         // and expiry counters into the report.
-        for slot in world.ctxs.iter_mut() {
-            if let Some(ctx) = slot.take() {
-                BATCH_REQUESTS.record(ctx.requests);
-            }
-        }
+        world.retire_batches();
         let mut occupied = Vec::new();
         world.fleet.occupied_into(&mut occupied);
         for (_, _, bytes) in occupied {

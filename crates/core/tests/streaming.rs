@@ -76,7 +76,8 @@ proptest! {
         let (want, mut ref_rng) =
             materialized_reference(seed, shard, &cdf, &sampler, horizon, quota);
 
-        let mut stream = ArrivalStream::new(seed, shard, &cdf, &sampler, horizon, quota);
+        let mut stream =
+            ArrivalStream::starting_at(seed, shard, &cdf, &sampler, SimTime::EPOCH, horizon, quota);
         let mut got = Vec::new();
         while let Some(ev) = stream.next_event() {
             got.push(ev);
@@ -113,8 +114,9 @@ proptest! {
         let span = SimDuration::from_secs(314);
         let start = SimTime::EPOCH + SimDuration::from_secs(start_s);
 
-        let mut anchored =
-            ArrivalStream::new(seed, shard, &cdf, &sampler, SimTime::EPOCH + span, quota);
+        let mut anchored = ArrivalStream::starting_at(
+            seed, shard, &cdf, &sampler, SimTime::EPOCH, SimTime::EPOCH + span, quota,
+        );
         let mut shifted = ArrivalStream::starting_at(
             seed, shard, &cdf, &sampler, start, start + span, quota,
         );
@@ -144,7 +146,8 @@ proptest! {
         let sampler = ZipfSampler::over_ranks(&ranks, 0.9);
         let horizon = SimTime::EPOCH + SimDuration::from_secs(314);
 
-        let mut stream = ArrivalStream::new(seed, 0, &cdf, &sampler, horizon, quota);
+        let mut stream =
+            ArrivalStream::starting_at(seed, 0, &cdf, &sampler, SimTime::EPOCH, horizon, quota);
         let mut prev = SimTime::EPOCH;
         let mut count = 0u64;
         while let Some((t, a)) = stream.next_event() {
