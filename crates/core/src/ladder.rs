@@ -1,11 +1,10 @@
-//! The Figure 6 decision, shared by the single fetch
-//! ([`crate::retrieval::RetrievalRequest`]) and the traffic engine: serve
-//! the cheapest copy of the first hop-budget rung that beats the ground,
-//! else the ground. Callers price candidates at a *base* RTT that leaves
-//! out a term common to the whole fetch (user link, scheduling jitter),
-//! [`offer`] them into one [`RungBest`] per rung and ask [`first_within`]
-//! with that term added back, so per-rung winners depend on base RTTs
-//! alone. No RNG draws, no telemetry: those stay with the callers.
+//! The Figure 6 decision for the single fetch
+//! ([`crate::retrieval::RetrievalRequest`]) and the traffic engine: the
+//! cheapest copy of the first hop-budget rung that beats the ground, else
+//! the ground. Callers [`offer`] candidates at a *base* RTT that leaves
+//! out a term common to the whole fetch (user link, scheduling jitter) and
+//! pass that term to [`first_within`], so per-rung winners depend on base
+//! RTTs alone. No RNG draws and no telemetry happen here.
 
 use spacecdn_geo::Latency;
 
@@ -15,8 +14,8 @@ pub(crate) type RungBest<T> = Option<(Latency, u32, T)>;
 /// The cooperative rung's budget: the overhead satellite or a +Grid neighbor.
 pub(crate) const NEIGHBOR_RUNG: &[u32] = &[1];
 
-/// Panics unless `ladder` is non-empty and strictly ascending, the shape
-/// every rung fold assumes (each rung admits a superset of the last).
+/// Panics unless `ladder` is non-empty and strictly ascending, as the
+/// folds assume (each rung admits a superset of the one below).
 pub(crate) fn check(ladder: &[u32]) {
     assert!(
         !ladder.is_empty() && ladder.windows(2).all(|w| w[0] < w[1]),

@@ -319,11 +319,10 @@ impl RetrievalRequest {
         }
     }
 
-    /// Every fetch's path through the Figure 6 decision: find the
-    /// overhead satellite, price each alive copy within the widest rung
-    /// of `ladder` (non-empty, ascending), and let [`crate::ladder`] pick
-    /// the latency-optimal copy of the first rung that beats the ground
-    /// fallback on RTT.
+    /// Every fetch's path through the Figure 6 decision: find the overhead
+    /// satellite, offer each alive copy within the widest rung of `ladder`
+    /// (non-empty, ascending) to [`crate::ladder`], and serve the first
+    /// rung's best copy that beats the ground fallback on RTT.
     ///
     /// `graceful` picks three behaviours that recorded outputs depend on:
     /// the jitter draw point (eager, as soon as an overhead satellite

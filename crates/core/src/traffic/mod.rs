@@ -12,19 +12,23 @@
 //!   lazily on the [`spacecdn_des::stream`] core, merged with the epoch
 //!   ticks: per-shard memory is O(1) in the request count.
 //! - **Flat SoA cache state.** A shard's caches are one [`PolicyFleet`]
-//!   (LRU+TTL, SIEVE, S3-FIFO or W-TinyLFU, per [`TrafficConfig::policy`])
-//!   indexed by global satellite slot. Holder lists are kept exact
-//!   eagerly (evictions report victims, TTL lapses run off a timer queue,
-//!   invalidations drain wiped slots), so the candidate scan never probes
-//!   freshness.
+//!   (LRU+TTL, SIEVE, S3-FIFO or W-TinyLFU, per [`TrafficConfig::policy`],
+//!   each proven decision-identical to a naive reference by the oracle in
+//!   `spacecdn-content`) indexed by global satellite slot. Holder lists
+//!   are kept exact eagerly (evictions report victims, TTL lapses run off
+//!   a timer queue, invalidations drain wiped slots), so the candidate
+//!   scan never probes freshness.
 //! - **Batched retrieval per (epoch, source).** A source's requests in one
 //!   epoch share its overhead satellites, user links and routing balls on
 //!   every shard, so a burst resolves them once ([`resolve_overheads`]:
 //!   member-sized [`RoutingBall`]s cut at the ladder's top rung and the
-//!   ground fallback) and prices every serving candidate into a read-only
-//!   `CandidateTable`: a shard's scan is one bit test per holder and no
-//!   shard reads a routing table. Per-rung bests are memoized per (source,
-//!   rank) and decided by the crate's Figure 6 ladder kernel.
+//!   ground fallback, memoized in each graph's [`spacecdn_lsn::cache`])
+//!   and prices every serving candidate into a read-only `CandidateTable`:
+//!   a shard's scan is one bit test per holder and no shard reads a
+//!   routing table. A shard keeps a `BatchCtx` per source it serves, which
+//!   thousands of requests reuse (`core.traffic.batch.*` telemetry), and
+//!   per-rung bests memoized per (source, rank), decided by the crate's
+//!   Figure 6 ladder kernel.
 //!
 //! Module map — `arrivals`: [`ArrivalStream`]; `geometry`: [`Overhead`],
 //! [`resolve_overheads`], `BatchGeo`, `CandidateTable`, `EpochGeo`;
